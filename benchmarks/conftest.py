@@ -101,7 +101,10 @@ def decoder_artifact_dir():
 
 @pytest.fixture(scope="session")
 def sweep_opts(sweep_jobs, cache_dir, resume, decoder_artifact_dir) -> dict:
-    """Executor options forwarded by every sweep-shaped benchmark."""
+    """Execution options forwarded by every sweep-shaped benchmark.
+
+    Each key is one of :data:`repro.experiments.sweep.RUN_OPTIONS`.
+    """
     return {
         "jobs": sweep_jobs,
         "cache_dir": cache_dir,

@@ -107,22 +107,6 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="Shots simulated together per batch (batched engine only).",
     )
-    parser.add_argument(
-        "--decoder-dp-threshold",
-        type=int,
-        default=None,
-        help="Largest syndrome the decoder's exact bitmask DP handles before "
-        "the blossom engine takes over (0 = always blossom).  Tuning knob "
-        "only: corrections are bit-identical for any value.",
-    )
-    parser.add_argument(
-        "--decoder-cache-size",
-        type=int,
-        default=None,
-        help="Bound on the decoder's syndrome->correction LRU cache "
-        "(0 disables caching).  Tuning knob only: corrections are "
-        "bit-identical for any value.",
-    )
     _add_orchestration_args(parser)
 
 
@@ -240,8 +224,6 @@ def _cmd_ler(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         batch_size=args.batch_size,
-        decoder_dp_threshold=args.decoder_dp_threshold,
-        decoder_cache_size=args.decoder_cache_size,
         **_scenario_options(args),
         **_sweep_options(args),
     )
@@ -425,12 +407,13 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             "invocations (each run draws fresh entropy); pass --seed to make "
             "the cache and --resume effective"
         )
+    if plan.adaptive is None:
+        plan.adaptive = _adaptive_config(args)
     executor = SweepExecutor(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         resume=args.resume,
         decoder_artifact_dir=args.decoder_artifact_dir,
-        adaptive=_adaptive_config(args),
     )
     results = executor.run(plan)
     sweep = PolicySweepResult(list(results))
@@ -553,8 +536,6 @@ def _cmd_dqlr(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         batch_size=args.batch_size,
-        decoder_dp_threshold=args.decoder_dp_threshold,
-        decoder_cache_size=args.decoder_cache_size,
         **_scenario_options(args),
         **_sweep_options(args),
     )

@@ -418,28 +418,27 @@ def ensure_graph_tables(graph) -> bool:
     return store.contains_graph(graph)
 
 
-def prebuild_job_artifacts(jobs: Iterable) -> int:
-    """Pre-build graph artifacts for every distinct decoding graph in ``jobs``.
+def prebuild_job_artifacts(jobs: Iterable, directory: str) -> int:
+    """Pre-build graph artifacts in ``directory`` for every decode job's graph.
 
-    Deduplicates by (artifact dir, code family, distance, rounds) — the
-    memory-experiment decoder always decodes Z detectors at unit weights, so
-    that tuple pins the graph identity.  Returns how many entries were
-    actually built (``0`` = the store was already warm).
+    Deduplicates by (code family, distance, rounds) — the memory-experiment
+    decoder always decodes Z detectors at unit weights, so that tuple pins
+    the graph identity.  Returns how many entries were actually built
+    (``0`` = the store was already warm).
     """
     from repro.codes import make_code
     from repro.decoder.graph import shared_decoding_graph
 
+    store = get_artifact_store(directory)
     built = 0
     seen = set()
     for job in jobs:
-        directory = getattr(job, "decoder_artifact_dir", None)
-        if not directory or not getattr(job, "decode", False):
+        if not job.decode:
             continue
-        signature = (directory, job.code_family, job.distance, job.rounds)
+        signature = (job.code_family, job.distance, job.rounds)
         if signature in seen:
             continue
         seen.add(signature)
-        store = get_artifact_store(directory)
         graph = shared_decoding_graph(
             make_code(job.code_family, job.distance),
             job.rounds,

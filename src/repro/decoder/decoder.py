@@ -14,7 +14,7 @@ Decoding is batch-aware and layered (fastest layer first):
    repeated syndromes across batches (and across `decode_shot` calls), so
    duplicates within a sweep job are free;
 4. *matching engine* — only distinct, uncached syndromes reach the engine
-   (bitmask DP / native blossom / greedy / union-find; see
+   (native blossom / greedy / union-find; see
    :mod:`repro.decoder.matching`).
 
 Every layer is exact: corrections are bit-identical to matching each shot
@@ -97,10 +97,6 @@ class SurfaceCodeDecoder:
             weights (see :class:`~repro.decoder.graph.DecodingGraph`).
         exact_threshold: Syndrome size above which ``"auto"`` switches from
             exact matching to greedy.
-        dp_threshold: Largest syndrome handled by the exact bitmask DP
-            before the blossom algorithm takes over (``None`` = library
-            default, ``0`` = always blossom).  Performance-only: corrections
-            are identical either way.
         cache_size: Bound on the syndrome->correction LRU (``0`` disables
             caching).  Performance-only.
         artifact_store: Optional
@@ -122,7 +118,6 @@ class SurfaceCodeDecoder:
     time_weight: float = 1.0
     diagonal_weight: Optional[float] = None
     exact_threshold: int = 40
-    dp_threshold: Optional[int] = None
     cache_size: int = DEFAULT_CACHE_SIZE
     artifact_store: Optional[object] = None
     stats: DecoderStats = field(default_factory=DecoderStats, init=False, repr=False)
@@ -141,7 +136,6 @@ class SurfaceCodeDecoder:
             self.graph,
             method=self.method,
             exact_threshold=self.exact_threshold,
-            dp_threshold=self.dp_threshold,
         )
         self._correction_cache: "OrderedDict[bytes, int]" = OrderedDict()
         if self.artifact_store is not None and self.cache_size > 0:
@@ -251,9 +245,8 @@ class SurfaceCodeDecoder:
         Corrections differ between matching engines (greedy is approximate,
         mwpm exact, union-find its own algorithm) and — for ``auto`` — on
         the exact/greedy switchover size, so those join the identity.
-        ``dp_threshold``, ``cache_size`` and the blossom implementation do
-        *not*: corrections are bit-identical for any value, so differently
-        tuned decoders share one persisted cache.
+        ``cache_size`` does *not*: corrections are bit-identical for any
+        value, so differently sized caches share one persisted cache.
         """
         method = self.method.strip().lower()
         if method in ("mwpm", "exact", "blossom"):

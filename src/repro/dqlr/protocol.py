@@ -25,9 +25,9 @@ import numpy as np
 from repro.core.dli import SwapLookupTable
 from repro.core.policies.base import LrcPolicy, assignment_to_row
 from repro.core.qsg import PROTOCOL_DQLR
-from repro.experiments.executor import SweepExecutor, warn_unseeded_cache
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.results import PolicySweepResult
+from repro.experiments.sweep import run_sweep
 from repro.noise.leakage import LeakageTransportModel
 from repro.sim.rng import RngLike
 
@@ -115,9 +115,6 @@ def dqlr_comparison_plan(
     engine: str = "auto",
     batch_size: int = None,
     chunk_shots: int = None,
-    decoder_dp_threshold: int = None,
-    decoder_cache_size: int = None,
-    decoder_artifact_dir: str = None,
     code_family: str = None,
     noise_profile=None,
 ) -> SweepPlan:
@@ -135,9 +132,6 @@ def dqlr_comparison_plan(
             decoder_method=decoder_method,
             engine=engine,
             batch_size=batch_size,
-            decoder_dp_threshold=decoder_dp_threshold,
-            decoder_cache_size=decoder_cache_size,
-            decoder_artifact_dir=decoder_artifact_dir,
             code_family=code_family,
             noise_profile=noise_profile,
         )
@@ -147,62 +141,16 @@ def dqlr_comparison_plan(
     return SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
 
 
-def run_dqlr_comparison(
-    distances: Sequence[int],
-    policies: Sequence[str] = DQLR_POLICIES,
-    p: float = 1e-3,
-    cycles: int = 10,
-    shots: int = 100,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: int = None,
-    jobs: int = 1,
-    cache_dir: str = None,
-    resume: bool = False,
-    chunk_shots: int = None,
-    executor: SweepExecutor = None,
-    decoder_dp_threshold: int = None,
-    decoder_cache_size: int = None,
-    decoder_artifact_dir: str = None,
-    code_family: str = None,
-    noise_profile=None,
-) -> PolicySweepResult:
+def run_dqlr_comparison(*args, **options) -> PolicySweepResult:
     """Sweep DQLR-based leakage removal across distances and policies.
 
     Matches the evaluation setup of Appendix A.2: the LeakageISWAP has CX-like
     fidelity and the alternative (exchange) leakage-transport model is used so
-    the results reflect Sycamore-like transport behaviour.  ``jobs``,
-    ``cache_dir`` and ``resume`` behave as in
-    :mod:`repro.experiments.sweep`: the plan runs through a
+    the results reflect Sycamore-like transport behaviour.  Takes the
+    arguments of :func:`dqlr_comparison_plan` plus the execution knobs of
+    :data:`repro.experiments.sweep.RUN_OPTIONS` (``jobs``, ``cache_dir``,
+    ``resume``, ...): the plan runs through a
     :class:`~repro.experiments.executor.SweepExecutor`, optionally in
     parallel and backed by the content-addressed result cache.
     """
-    plan = dqlr_comparison_plan(
-        distances=distances,
-        policies=policies,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        decode=decode,
-        decoder_method=decoder_method,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        decoder_dp_threshold=decoder_dp_threshold,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    if executor is None:
-        warn_unseeded_cache(seed, cache_dir, resume)
-        executor = SweepExecutor(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            resume=resume,
-            decoder_artifact_dir=decoder_artifact_dir,
-        )
-    return PolicySweepResult(list(executor.run(plan)))
+    return PolicySweepResult(run_sweep(dqlr_comparison_plan, *args, **options))

@@ -18,11 +18,10 @@ rule off the Wilson half-width (not the plug-in stderr, which collapses to
 never declared "resolved" prematurely: at zero failures the half-width is
 still roughly ``1.92 / (shots + 3.84)`` (rule of three).
 
-The knobs ride on :class:`~repro.experiments.jobs.SweepJob` as perf-only
-fields (``target_ci_halfwidth``, ``target_rel_halfwidth``,
-``adaptive_min_chunks``) excluded from cache identity, exactly like
-``decoder_artifact_dir``: they change how much of the job runs, never the
-content of any statistic.
+The config rides on the plan, not on its jobs:
+:attr:`~repro.experiments.jobs.SweepPlan.adaptive` applies it to every decode
+job.  It changes how much of a job runs, never the content of any statistic,
+so it stays out of every job's cache identity.
 
 Rare-event estimator
 --------------------
@@ -43,7 +42,7 @@ overlap region where both are tractable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +50,6 @@ import numpy as np
 from repro.codes import DEFAULT_CODE_FAMILY, make_code
 from repro.codes.layout import StabilizerType
 from repro.core.qsg import KEY_FINAL_DATA, QecScheduleGenerator
-from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import wilson_halfwidth, wilson_interval
 from repro.noise.leakage import LeakageModel
 from repro.noise.model import NoiseParams
@@ -133,50 +131,6 @@ class AdaptiveConfig:
             if halfwidth <= self.target_rel_halfwidth * rate:
                 return True
         return False
-
-
-def job_adaptive_config(job: SweepJob) -> Optional[AdaptiveConfig]:
-    """The stopping rule a job carries, or ``None`` when it has no target."""
-    if job.target_ci_halfwidth is None and job.target_rel_halfwidth is None:
-        return None
-    return AdaptiveConfig(
-        target_ci_halfwidth=job.target_ci_halfwidth,
-        target_rel_halfwidth=job.target_rel_halfwidth,
-        min_chunks=(
-            DEFAULT_MIN_CHUNKS
-            if job.adaptive_min_chunks is None
-            else job.adaptive_min_chunks
-        ),
-    )
-
-
-def apply_adaptive(plan: SweepPlan, config: Optional[AdaptiveConfig]) -> SweepPlan:
-    """Give every decode job of ``plan`` the stopping rule's targets.
-
-    Jobs that already carry their own target keep it; non-decode jobs are
-    left untouched (they have no LER to resolve); ``None`` or a disabled
-    config returns the plan unchanged.  Mirrors
-    :func:`~repro.experiments.executor.apply_decoder_artifact_dir` — the
-    stamped fields are perf-only and do not change any job's cache identity.
-    """
-    if config is None or not config.enabled:
-        return plan
-    stamped = []
-    for job in plan.jobs:
-        if not job.decode or job.target_ci_halfwidth is not None or (
-            job.target_rel_halfwidth is not None
-        ):
-            stamped.append(job)
-        else:
-            stamped.append(
-                replace(
-                    job,
-                    target_ci_halfwidth=config.target_ci_halfwidth,
-                    target_rel_halfwidth=config.target_rel_halfwidth,
-                    adaptive_min_chunks=config.min_chunks,
-                )
-            )
-    return SweepPlan(stamped)
 
 
 # ----------------------------------------------------------------------

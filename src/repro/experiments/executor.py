@@ -21,24 +21,27 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive, job_adaptive_config
+from repro.experiments.adaptive import AdaptiveConfig
 from repro.experiments.jobs import SweepJob, SweepPlan, merge_chunk_results
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import ResultStore, default_cache_dir
 
 
-def _execute_chunk(job: SweepJob, index: int) -> MemoryExperimentResult:
+def _execute_chunk(
+    job: SweepJob, index: int, decoder_artifact_dir: Optional[str]
+) -> MemoryExperimentResult:
     """Worker entry point (module-level so it pickles under every backend)."""
-    return job.run_chunk(index)
+    return job.run_chunk(index, decoder_artifact_dir)
 
 
 def execute_chunk_with_stats(
-    job: SweepJob, index: int
+    job: SweepJob, index: int, decoder_artifact_dir: Optional[str] = None
 ) -> Tuple[MemoryExperimentResult, Optional[Dict[str, int]]]:
     """Worker entry point that also surfaces the decoder's dispatch counters.
 
@@ -49,7 +52,7 @@ def execute_chunk_with_stats(
     """
     shots = job.chunk_sizes()[index]
     rng = np.random.default_rng(job.chunk_seed(index))
-    experiment = job.build_experiment(rng)
+    experiment = job.build_experiment(rng, decoder_artifact_dir)
     result = experiment.run(shots)
     decoder_stats = (
         experiment.decoder.stats.as_dict() if experiment.decoder is not None else None
@@ -165,22 +168,6 @@ class SweepStats:
         return text
 
 
-def apply_decoder_artifact_dir(plan: SweepPlan, artifact_dir: Optional[str]) -> SweepPlan:
-    """Give every job of ``plan`` the persistent decoder-artifact directory.
-
-    Jobs that already carry their own directory keep it; ``None`` returns the
-    plan unchanged.  Shared by the in-process executor and the sweep service.
-    """
-    if not artifact_dir:
-        return plan
-    return SweepPlan(
-        [
-            job if job.decoder_artifact_dir else replace(job, decoder_artifact_dir=artifact_dir)
-            for job in plan.jobs
-        ]
-    )
-
-
 class PlanExecution:
     """Chunk-granular bookkeeping for one plan — the shared execution core.
 
@@ -212,9 +199,9 @@ class PlanExecution:
     statistics are bit-identical to an uninterrupted run.  Spilled entries
     are deleted the moment their job's merged result persists.
 
-    **Adaptive mode.**  Jobs carrying a Wilson-interval target
-    (:func:`~repro.experiments.adaptive.job_adaptive_config`) switch the
-    execution to a sequential stopping rule: backends must then dispatch
+    **Adaptive mode.**  A plan carrying a Wilson-interval target
+    (:attr:`~repro.experiments.jobs.SweepPlan.adaptive`) switches its decode
+    jobs to a sequential stopping rule: backends must then dispatch
     work through :meth:`claim_tasks` (a chunk-index frontier) instead of
     the eager :attr:`tasks` list, and after every recorded chunk the rule
     looks for the smallest prefix length ``L >= min_chunks`` whose
@@ -249,15 +236,20 @@ class PlanExecution:
         self._cached_chunks = 0
         self._recovered_chunks = 0
         self._skipped_chunks = 0
-        self._adaptive: Dict[int, AdaptiveConfig] = {}
+        adaptive = plan.adaptive
+        self._rule: Optional[AdaptiveConfig] = (
+            adaptive if adaptive is not None and adaptive.enabled else None
+        )
+        #: Indices of the jobs the stopping rule applies to (decode jobs).
+        self._adaptive: Set[int] = set()
         self._merge_base: Dict[int, MemoryExperimentResult] = {}
         self._base_chunks: Dict[int, int] = {}
         self._next_chunk: Dict[int, int] = {}
         self._rr_cursor = 0
         for index, job in enumerate(plan.jobs):
-            config = job_adaptive_config(job) if job.decode else None
+            config = self._rule if job.decode else None
             if config is not None:
-                self._adaptive[index] = config
+                self._adaptive.add(index)
             cached = store.load(job.cache_key()) if store is not None else None
             if cached is not None:
                 self.results[index] = cached
@@ -310,7 +302,7 @@ class PlanExecution:
 
     @property
     def adaptive_mode(self) -> bool:
-        """True when any job carries a stopping-rule target.
+        """True when a stopping rule applies to any job.
 
         Backends must then dispatch via :meth:`claim_tasks` so that chunks
         past a job's (unknown-in-advance) stop point are never simulated.
@@ -432,18 +424,18 @@ class PlanExecution:
             + self._skipped_chunks
         )
 
-    def prebuild_artifacts(self) -> None:
+    def prebuild_artifacts(self, decoder_artifact_dir: Optional[str]) -> None:
         """Build each pending decode job's decoder artifacts once, up-front."""
-        artifact_jobs = [
-            self.plan.jobs[index]
-            for index in self.pending
-            if self.plan.jobs[index].decoder_artifact_dir and self.plan.jobs[index].decode
+        decode_jobs = [
+            self.plan.jobs[index] for index in self.pending if self.plan.jobs[index].decode
         ]
-        if not artifact_jobs:
+        if not decoder_artifact_dir or not decode_jobs:
             return
         from repro.decoder.artifacts import prebuild_job_artifacts
 
-        self.stats.artifacts_prebuilt = prebuild_job_artifacts(artifact_jobs)
+        self.stats.artifacts_prebuilt = prebuild_job_artifacts(
+            decode_jobs, decoder_artifact_dir
+        )
 
     def record_chunk(
         self,
@@ -548,7 +540,7 @@ class PlanExecution:
         statistics — independent of chunk arrival order and worker count.
         Returns True when the job finalised.
         """
-        config = self._adaptive[job_index]
+        config = self._rule
         if self.results[job_index] is not None:
             return False
         job = self.plan.jobs[job_index]
@@ -588,7 +580,7 @@ class PlanExecution:
         either run's cache entry serves the other.
         """
         job = self.plan.jobs[job_index]
-        config = self._adaptive[job_index]
+        config = self._rule
         base_chunks = self._base_chunks.pop(job_index, 0)
         parts: List[MemoryExperimentResult] = []
         if job_index in self._merge_base:
@@ -648,23 +640,18 @@ class SweepExecutor:
             invocation pick up where it left off.
         store: Pre-built :class:`ResultStore` (overrides ``cache_dir``).
         decoder_artifact_dir: Persistent decoder-artifact store directory
-            (:mod:`repro.decoder.artifacts`).  When set, every decode job in
-            the plan inherits it (jobs that already carry their own keep it),
-            and the executor pre-builds each unique decoding graph's tables
-            *once* before fan-out so worker processes start artifact-warm
-            instead of rebuilding APSP/frame tables N times.  Perf-only: job
-            cache identity is unchanged.
+            (:mod:`repro.decoder.artifacts`).  When set, every chunk
+            (including those run by pool workers) decodes with it, and the
+            executor pre-builds each unique decoding graph's tables *once*
+            before fan-out so worker processes start artifact-warm instead
+            of rebuilding APSP/frame tables N times.  Perf-only: job cache
+            identity is unchanged.
         metrics: Optional :class:`~repro.experiments.metrics.MetricsRegistry`
             counting chunk/cache traffic and per-chunk latency (the same
             registry the sweep service snapshots over its API).
-        adaptive: Optional :class:`~repro.experiments.adaptive.AdaptiveConfig`
-            applied to every decode job in the plan (jobs carrying their own
-            targets keep them).  Enables the sequential stopping rule: each
-            job runs only until the Wilson interval on its logical error
-            rate is tighter than the target, and the shot budget drains to
-            the jobs whose intervals are still loose.  Perf-only: job cache
-            identity is unchanged, and an early-stopped job's result is
-            bit-identical to a fixed run of the prefix it executed.
+
+    The sequential stopping rule comes with the plan
+    (:attr:`~repro.experiments.jobs.SweepPlan.adaptive`).
 
     After :meth:`run`, :attr:`last_stats` reports cache hits and the number of
     chunks actually simulated (``0`` on a fully-cached rerun).
@@ -678,7 +665,6 @@ class SweepExecutor:
         store: Optional[ResultStore] = None,
         decoder_artifact_dir: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
-        adaptive: Optional[AdaptiveConfig] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -689,7 +675,6 @@ class SweepExecutor:
         self.store = store
         self.decoder_artifact_dir = decoder_artifact_dir
         self.metrics = metrics
-        self.adaptive = adaptive
         self.last_stats = SweepStats()
 
     # ------------------------------------------------------------------
@@ -700,23 +685,22 @@ class SweepExecutor:
     def run(self, plan: SweepPlan) -> List[MemoryExperimentResult]:
         """Execute ``plan`` and return results in plan order."""
         started = time.perf_counter()
-        plan = apply_decoder_artifact_dir(plan, self.decoder_artifact_dir)
-        plan = apply_adaptive(plan, self.adaptive)
         execution = PlanExecution(plan, store=self.store, metrics=self.metrics)
         # Build each unique decoding graph's APSP/frame tables once, here, so
         # the fan-out below (including every pool worker) loads them back as
         # shared memory maps instead of recomputing per process.
-        execution.prebuild_artifacts()
+        execution.prebuild_artifacts(self.decoder_artifact_dir)
+        execute = partial(_execute_chunk, decoder_artifact_dir=self.decoder_artifact_dir)
 
         if execution.adaptive_mode:
-            self._run_adaptive(plan, execution)
+            self._run_adaptive(plan, execution, execute)
         else:
             tasks = execution.tasks
             if self.jobs > 1 and len(tasks) > 1:
                 workers = min(self.jobs, len(tasks))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {
-                        pool.submit(_execute_chunk, plan.jobs[job_index], chunk): (job_index, chunk)
+                        pool.submit(execute, plan.jobs[job_index], chunk): (job_index, chunk)
                         for job_index, chunk in tasks
                     }
                     for future in as_completed(futures):
@@ -727,13 +711,18 @@ class SweepExecutor:
                 # before the next one starts.
                 for job_index, chunk in tasks:
                     execution.record_chunk(
-                        job_index, chunk, _execute_chunk(plan.jobs[job_index], chunk)
+                        job_index, chunk, execute(plan.jobs[job_index], chunk)
                     )
 
         self.last_stats = execution.finish(time.perf_counter() - started)
         return execution.results  # type: ignore[return-value]
 
-    def _run_adaptive(self, plan: SweepPlan, execution: PlanExecution) -> None:
+    def _run_adaptive(
+        self,
+        plan: SweepPlan,
+        execution: PlanExecution,
+        execute: Callable[[SweepJob, int], MemoryExperimentResult],
+    ) -> None:
         """Drive an adaptive execution through its chunk frontier.
 
         Serial mode claims one chunk at a time, so a job executes exactly up
@@ -751,7 +740,7 @@ class SweepExecutor:
                     for job_index, chunk in execution.claim_tasks(
                         self.jobs - len(futures)
                     ):
-                        future = pool.submit(_execute_chunk, plan.jobs[job_index], chunk)
+                        future = pool.submit(execute, plan.jobs[job_index], chunk)
                         futures[future] = (job_index, chunk)
 
                 refill()
@@ -768,5 +757,5 @@ class SweepExecutor:
                     break
                 job_index, chunk = claimed[0]
                 execution.record_chunk(
-                    job_index, chunk, _execute_chunk(plan.jobs[job_index], chunk)
+                    job_index, chunk, execute(plan.jobs[job_index], chunk)
                 )

@@ -27,7 +27,7 @@ instead of serialising the sweep behind a single worker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from repro.codes import DEFAULT_CODE_FAMILY, canonical_code_family, make_code
 from repro.core.policies import make_policy
 from repro.core.policies.base import LrcPolicy
 from repro.core.qsg import PROTOCOL_SWAP
+from repro.experiments.adaptive import DEFAULT_MIN_CHUNKS, AdaptiveConfig
 from repro.experiments.memory import MemoryExperiment
 from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import config_hash
@@ -99,6 +100,10 @@ class SweepJob:
     and ``spawn_key`` pin the job's random stream (see the module docstring);
     ``chunk_shots`` is part of the identity because it determines how the
     shots split across child streams.
+
+    Every field is part of :meth:`config_dict`: settings that leave the
+    statistics unchanged (where decoder tables are stored, when the stopping
+    rule ends a job) belong to the executor or the plan, never to the job.
     """
 
     distance: int
@@ -122,33 +127,6 @@ class SweepJob:
     seed_entropy: int = 0
     spawn_key: Tuple[int, ...] = ()
     chunk_shots: int = DEFAULT_CHUNK_SHOTS
-    #: Decoder fast-path tuning (see ``repro.decoder.decoder``).  These are
-    #: deliberately *not* part of :meth:`config_dict`: corrections — and
-    #: therefore every statistic — are bit-identical for any value, so jobs
-    #: tuned differently still address the same cache entry.
-    decoder_dp_threshold: Optional[int] = None
-    decoder_cache_size: Optional[int] = None
-    #: Persistent decoder-artifact store directory
-    #: (``repro.decoder.artifacts``).  Excluded from :meth:`config_dict` for
-    #: the same reason: the store only changes where the decoding-graph
-    #: tables come from, never a single correction.
-    decoder_artifact_dir: Optional[str] = None
-    #: Sequential stopping rule (``repro.experiments.adaptive``): stop
-    #: dispatching chunks once the Wilson interval on the job's LER is
-    #: tighter than this absolute half-width.  Excluded from
-    #: :meth:`config_dict`: adaptivity only decides *how many* of the job's
-    #: position-keyed chunks run, never the content of any chunk, so a
-    #: truncated run is bit-identical to the prefix of a fixed run and is
-    #: cached under that prefix job's address.
-    target_ci_halfwidth: Optional[float] = None
-    #: Relative variant of the stopping target: stop once the Wilson
-    #: half-width falls below ``target_rel_halfwidth * LER-hat`` (only
-    #: meaningful once at least one failure was observed).  Perf-only,
-    #: excluded from identity like :attr:`target_ci_halfwidth`.
-    target_rel_halfwidth: Optional[float] = None
-    #: Minimum chunks the stopping rule must observe before it may stop
-    #: (``None`` = the module default).  Perf-only, excluded from identity.
-    adaptive_min_chunks: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.shots < 1:
@@ -204,9 +182,9 @@ class SweepJob:
     def to_wire(self) -> Dict[str, object]:
         """Every field as JSON primitives — the sweep-service submit body.
 
-        Unlike :meth:`config_dict` this is *lossless* (perf-only knobs such
-        as the decoder tuning fields ride along) so a service-side job is
-        exactly the job the client built, including its cache identity.
+        Unlike :meth:`config_dict` this always names every field (defaults
+        included), so a service-side job is exactly the job the client
+        built.
         """
         return {
             "distance": self.distance,
@@ -227,12 +205,6 @@ class SweepJob:
             "seed_entropy": self.seed_entropy,
             "spawn_key": list(self.spawn_key),
             "chunk_shots": self.chunk_shots,
-            "decoder_dp_threshold": self.decoder_dp_threshold,
-            "decoder_cache_size": self.decoder_cache_size,
-            "decoder_artifact_dir": self.decoder_artifact_dir,
-            "target_ci_halfwidth": self.target_ci_halfwidth,
-            "target_rel_halfwidth": self.target_rel_halfwidth,
-            "adaptive_min_chunks": self.adaptive_min_chunks,
         }
 
     @classmethod
@@ -277,8 +249,15 @@ class SweepJob:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def build_experiment(self, rng: RngLike) -> MemoryExperiment:
-        """Materialise the configuration into a ready-to-run experiment."""
+    def build_experiment(
+        self, rng: RngLike, decoder_artifact_dir: Optional[str] = None
+    ) -> MemoryExperiment:
+        """Materialise the configuration into a ready-to-run experiment.
+
+        ``decoder_artifact_dir`` names a persistent decoder-artifact store
+        (:mod:`repro.decoder.artifacts`); it only changes where the decoding
+        graph's tables come from, never a correction.
+        """
         noise = NoiseParams.standard(self.p)
         profile = (
             NoiseProfile.from_json(self.noise_profile)
@@ -301,19 +280,19 @@ class SweepJob:
             protocol=self.protocol,
             decode=self.decode,
             decoder_method=self.decoder_method,
-            decoder_dp_threshold=self.decoder_dp_threshold,
-            decoder_cache_size=self.decoder_cache_size,
-            decoder_artifact_dir=self.decoder_artifact_dir,
+            decoder_artifact_dir=decoder_artifact_dir,
             seed=rng,
             engine=self.engine,
             batch_size=self.batch_size,
         )
 
-    def run_chunk(self, index: int) -> MemoryExperimentResult:
+    def run_chunk(
+        self, index: int, decoder_artifact_dir: Optional[str] = None
+    ) -> MemoryExperimentResult:
         """Run one chunk of this job on its own deterministic stream."""
         shots = self.chunk_sizes()[index]
         rng = np.random.default_rng(self.chunk_seed(index))
-        return self.build_experiment(rng).run(shots)
+        return self.build_experiment(rng, decoder_artifact_dir).run(shots)
 
     def run(self) -> MemoryExperimentResult:
         """Run every chunk in-process and merge (the serial reference path)."""
@@ -393,11 +372,63 @@ def root_entropy(seed: RngLike) -> int:
     return int(entropy)
 
 
+#: Per-job wire keys of submissions written while decoder tuning and the
+#: stopping targets still rode on :class:`SweepJob`.
+#: :meth:`SweepPlan.from_wire` drops the decoder keys and lifts the targets
+#: onto the plan, so a journal written before the upgrade still replays.
+_LEGACY_DECODER_KEYS = (
+    "decoder_dp_threshold", "decoder_cache_size", "decoder_artifact_dir",
+)
+_LEGACY_TARGET_KEYS = (
+    "target_ci_halfwidth", "target_rel_halfwidth", "adaptive_min_chunks",
+)
+
+
+def _lift_legacy_targets(jobs: List[Dict[str, object]]) -> Optional[AdaptiveConfig]:
+    """Strip the legacy per-job keys from ``jobs``; return the rule they set.
+
+    Decoder keys never changed a statistic and are dropped.  Stopping
+    targets only ever applied to decode jobs, and a plan holds one stopping
+    rule, so the decode jobs must agree on them: a record whose decode jobs
+    differ cannot be replayed faithfully and is rejected.
+    """
+    rules = set()
+    for job in jobs:
+        for key in _LEGACY_DECODER_KEYS:
+            job.pop(key, None)
+        ci, rel, min_chunks = (job.pop(key, None) for key in _LEGACY_TARGET_KEYS)
+        if job.get("decode", True):
+            if ci is None and rel is None:
+                rules.add(None)
+            else:
+                rules.add((ci, rel, min_chunks or DEFAULT_MIN_CHUNKS))
+    if len(rules) > 1:
+        raise ValueError(
+            "plan record gives its decode jobs differing stopping targets "
+            f"{sorted(rules, key=repr)}; a plan holds a single stopping rule"
+        )
+    rule = rules.pop() if rules else None
+    if rule is None:
+        return None
+    ci, rel, min_chunks = rule
+    return AdaptiveConfig(
+        target_ci_halfwidth=ci, target_rel_halfwidth=rel, min_chunks=int(min_chunks)
+    )
+
+
 @dataclass
 class SweepPlan:
-    """An ordered list of jobs sharing one root seed derivation."""
+    """An ordered list of jobs sharing one root seed derivation.
+
+    ``adaptive`` is the sequential stopping rule
+    (:mod:`repro.experiments.adaptive`) applied to every decode job; ``None``
+    runs every job to its full shot budget.  It is not part of any job's
+    cache identity: a job stopped early is cached as the fixed job of the
+    prefix it ran.
+    """
 
     jobs: List[SweepJob] = field(default_factory=list)
+    adaptive: Optional[AdaptiveConfig] = None
 
     @classmethod
     def build(
@@ -465,13 +496,32 @@ class SweepPlan:
     def with_seed(self, seed: RngLike) -> "SweepPlan":
         """The same grid re-derived from a different root seed."""
         entropy = root_entropy(seed)
-        return SweepPlan([replace(job, seed_entropy=entropy) for job in self.jobs])
+        return replace(
+            self, jobs=[replace(job, seed_entropy=entropy) for job in self.jobs]
+        )
 
     def to_wire(self) -> Dict[str, object]:
         """JSON form of the whole plan (the sweep-service submit body)."""
-        return {"jobs": [job.to_wire() for job in self.jobs]}
+        wire: Dict[str, object] = {"jobs": [job.to_wire() for job in self.jobs]}
+        if self.adaptive is not None:
+            wire["adaptive"] = asdict(self.adaptive)
+        return wire
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepPlan":
-        """Rebuild a plan from :meth:`to_wire` (inverse, bit-identical)."""
-        return cls([SweepJob.from_wire(job) for job in payload.get("jobs", [])])
+        """Rebuild a plan from :meth:`to_wire` (inverse, bit-identical).
+
+        Also accepts the older wire form that carried decoder tuning and
+        stopping targets on every job (see :func:`_lift_legacy_targets`).
+        """
+        jobs = [dict(job) for job in payload.get("jobs", [])]
+        legacy = _lift_legacy_targets(jobs)
+        adaptive = payload.get("adaptive")
+        if adaptive is not None and legacy is not None:
+            raise ValueError(
+                "plan record sets stopping targets on both the plan and its jobs"
+            )
+        return cls(
+            [SweepJob.from_wire(job) for job in jobs],
+            AdaptiveConfig(**adaptive) if adaptive is not None else legacy,
+        )

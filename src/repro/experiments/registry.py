@@ -87,13 +87,12 @@ LOW_P_ADAPTIVE_TARGET = 2.5e-2
 
 
 def _plan_low_p_adaptive(shots, max_distance, seed, chunk_shots) -> SweepPlan:
-    """The fig14b grid with a stopping-rule target stamped on every job."""
-    from repro.experiments.adaptive import AdaptiveConfig, apply_adaptive
+    """The fig14b grid under a stopping-rule target."""
+    from repro.experiments.adaptive import AdaptiveConfig
 
     plan = _compare_plan(1e-4)(shots, max_distance, seed, chunk_shots)
-    return apply_adaptive(
-        plan, AdaptiveConfig(target_ci_halfwidth=LOW_P_ADAPTIVE_TARGET)
-    )
+    plan.adaptive = AdaptiveConfig(target_ci_halfwidth=LOW_P_ADAPTIVE_TARGET)
+    return plan
 
 
 def _plan_fig15(shots, max_distance, seed, chunk_shots) -> SweepPlan:

@@ -9,30 +9,34 @@ Every table and figure of the paper can be regenerated with a single call:
 * :func:`compare_policies` — a general sweep returning a
   :class:`~repro.experiments.results.PolicySweepResult`.
 
-Sweeps are *planned* and then *executed*.  Each helper has a ``*_plan``
-twin that expands the parameter grid into a
-:class:`~repro.experiments.jobs.SweepPlan` — one seeded
-:class:`~repro.experiments.jobs.SweepJob` per configuration, with child seeds
-fanned out via ``numpy.random.SeedSequence.spawn`` — and the sweep itself
-hands the plan to a :class:`~repro.experiments.executor.SweepExecutor`.  All
-helpers therefore share three orchestration knobs:
+Sweeps are *planned* and then *executed*.  Each helper's ``*_plan`` twin
+expands the parameter grid into a :class:`~repro.experiments.jobs.SweepPlan`
+— one seeded :class:`~repro.experiments.jobs.SweepJob` per configuration,
+with child seeds fanned out via ``numpy.random.SeedSequence.spawn`` — and the
+helper hands that builder to :func:`run_sweep`, which runs the plan on a
+:class:`~repro.experiments.executor.SweepExecutor`.  A helper takes its
+builder's grid arguments plus the execution knobs of :data:`RUN_OPTIONS`:
 
 * ``jobs`` — worker processes (``1`` = in-process; results are bit-identical
   either way),
 * ``cache_dir`` — content-addressed on-disk result cache; reruns of any
   configuration already computed there skip its Monte-Carlo work entirely,
 * ``resume`` — reuse the default cache directory so an interrupted sweep
-  continues from the configurations already finished.
+  continues from the configurations already finished,
+* ``executor`` — a pre-built executor (overrides the three above),
+* ``decoder_artifact_dir`` — persistent decoder-artifact store,
+* ``adaptive`` — a sequential stopping rule set on the plan
+  (:mod:`repro.experiments.adaptive`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.qsg import PROTOCOL_SWAP
-from repro.experiments.adaptive import AdaptiveConfig
 from repro.experiments.executor import SweepExecutor, warn_unseeded_cache
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.results import MemoryExperimentResult, PolicySweepResult
@@ -43,25 +47,32 @@ from repro.sim.rng import RngLike
 DEFAULT_POLICIES = ("always-lrc", "eraser", "eraser+m", "optimal")
 
 
-def _executor(
-    jobs: int,
-    cache_dir: Optional[str],
-    resume: bool,
-    executor: Optional[SweepExecutor],
-    seed: RngLike = None,
-    decoder_artifact_dir: Optional[str] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
-) -> SweepExecutor:
-    if executor is not None:
-        return executor
-    warn_unseeded_cache(seed, cache_dir, resume)
-    return SweepExecutor(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        decoder_artifact_dir=decoder_artifact_dir,
-        adaptive=adaptive,
-    )
+#: Keywords of :func:`run_sweep` that configure execution, not the grid.
+RUN_OPTIONS = (
+    "jobs", "cache_dir", "resume", "executor", "decoder_artifact_dir", "adaptive",
+)
+
+
+def run_sweep(
+    plan_builder: Callable[..., SweepPlan], *args, **options
+) -> List[MemoryExperimentResult]:
+    """Build ``plan_builder(*args, **grid)`` and execute it, in plan order.
+
+    ``options`` holds the builder's grid keywords plus any of
+    :data:`RUN_OPTIONS` (see the module docstring).
+    """
+    run = {key: options.pop(key) for key in RUN_OPTIONS if key in options}
+    plan = plan_builder(*args, **options)
+    adaptive = run.pop("adaptive", None)
+    if adaptive is not None:
+        plan = replace(plan, adaptive=adaptive)
+    executor = run.pop("executor", None)
+    if executor is None:
+        warn_unseeded_cache(
+            options.get("seed"), run.get("cache_dir"), run.get("resume", False)
+        )
+        executor = SweepExecutor(**run)
+    return executor.run(plan)
 
 
 def _config(
@@ -78,9 +89,6 @@ def _config(
     decoder_method: str = "auto",
     engine: str = "auto",
     batch_size: Optional[int] = None,
-    decoder_dp_threshold: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
     noise_profile=None,
 ) -> Dict[str, object]:
@@ -99,9 +107,6 @@ def _config(
         decoder_method=decoder_method,
         engine=engine,
         batch_size=batch_size,
-        decoder_dp_threshold=decoder_dp_threshold,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
         code_family=code_family,
         noise_profile=noise_profile,
     )
@@ -123,9 +128,6 @@ def run_single_plan(
     engine: str = "auto",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    decoder_dp_threshold: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
     noise_profile=None,
 ) -> SweepPlan:
@@ -146,9 +148,6 @@ def run_single_plan(
                 decoder_method=decoder_method,
                 engine=engine,
                 batch_size=batch_size,
-                decoder_dp_threshold=decoder_dp_threshold,
-                decoder_cache_size=decoder_cache_size,
-                decoder_artifact_dir=decoder_artifact_dir,
                 code_family=code_family,
                 noise_profile=noise_profile,
             )
@@ -158,59 +157,12 @@ def run_single_plan(
     )
 
 
-def run_single(
-    distance: int,
-    policy_name: str,
-    p: float = 1e-3,
-    cycles: int = 10,
-    shots: int = 100,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    rounds: Optional[int] = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_dp_threshold: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
-    adaptive: Optional[AdaptiveConfig] = None,
-) -> MemoryExperimentResult:
-    """Run one (distance, policy) configuration and return its result."""
-    plan = run_single_plan(
-        distance=distance,
-        policy_name=policy_name,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        leakage_enabled=leakage_enabled,
-        transport_model=transport_model,
-        protocol=protocol,
-        decode=decode,
-        decoder_method=decoder_method,
-        seed=seed,
-        rounds=rounds,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        decoder_dp_threshold=decoder_dp_threshold,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    return _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir, adaptive
-    ).run(plan)[0]
+def run_single(*args, **options) -> MemoryExperimentResult:
+    """Run one (distance, policy) configuration and return its result.
+
+    Takes the arguments of :func:`run_single_plan` and :data:`RUN_OPTIONS`.
+    """
+    return run_sweep(run_single_plan, *args, **options)[0]
 
 
 def compare_policies_plan(
@@ -228,9 +180,6 @@ def compare_policies_plan(
     engine: str = "auto",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    decoder_dp_threshold: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
     code_family: Optional[str] = None,
     noise_profile=None,
 ) -> SweepPlan:
@@ -249,9 +198,6 @@ def compare_policies_plan(
             decoder_method=decoder_method,
             engine=engine,
             batch_size=batch_size,
-            decoder_dp_threshold=decoder_dp_threshold,
-            decoder_cache_size=decoder_cache_size,
-            decoder_artifact_dir=decoder_artifact_dir,
             code_family=code_family,
             noise_profile=noise_profile,
         )
@@ -261,64 +207,17 @@ def compare_policies_plan(
     return SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
 
 
-def compare_policies(
-    distances: Sequence[int],
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    p: float = 1e-3,
-    cycles: int = 10,
-    shots: int = 100,
-    leakage_enabled: bool = True,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    decode: bool = True,
-    decoder_method: str = "auto",
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_dp_threshold: Optional[int] = None,
-    decoder_cache_size: Optional[int] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
-    adaptive: Optional[AdaptiveConfig] = None,
-) -> PolicySweepResult:
+def compare_policies(*args, **options) -> PolicySweepResult:
     """Sweep policies across code distances (the shape behind Figures 14-17, 20).
 
-    ``adaptive`` enables the sequential stopping rule on every decode job
-    (see :mod:`repro.experiments.adaptive`): each (distance, policy) point
-    runs only until the Wilson interval on its LER meets the target, which
-    is what makes the low-``p`` Figure 14(b) regime affordable.
+    Takes the arguments of :func:`compare_policies_plan` and
+    :data:`RUN_OPTIONS`.  ``adaptive`` enables the sequential stopping rule
+    on every decode job (see :mod:`repro.experiments.adaptive`): each
+    (distance, policy) point runs only until the Wilson interval on its LER
+    meets the target, which is what makes the low-``p`` Figure 14(b) regime
+    affordable.
     """
-    plan = compare_policies_plan(
-        distances=distances,
-        policies=policies,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        leakage_enabled=leakage_enabled,
-        transport_model=transport_model,
-        protocol=protocol,
-        decode=decode,
-        decoder_method=decoder_method,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        decoder_dp_threshold=decoder_dp_threshold,
-        decoder_cache_size=decoder_cache_size,
-        decoder_artifact_dir=decoder_artifact_dir,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    results = _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir, adaptive
-    ).run(plan)
-    return PolicySweepResult(list(results))
+    return PolicySweepResult(run_sweep(compare_policies_plan, *args, **options))
 
 
 def ler_vs_distance(
@@ -367,51 +266,14 @@ def lpr_time_series_plan(
     return SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
 
 
-def lpr_time_series(
-    distance: int,
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    p: float = 1e-3,
-    cycles: int = 10,
-    shots: int = 50,
-    transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
-    protocol: str = PROTOCOL_SWAP,
-    seed: RngLike = None,
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_artifact_dir: Optional[str] = None,
-    code_family: Optional[str] = None,
-    noise_profile=None,
-) -> Dict[str, np.ndarray]:
+def lpr_time_series(*args, **options) -> Dict[str, np.ndarray]:
     """Per-round leakage population ratio per policy (Figures 5, 15, 18, 21).
 
-    Decoding is disabled because the LPR does not depend on it, which makes
-    these long time-series sweeps much faster.
+    Takes the arguments of :func:`lpr_time_series_plan` and
+    :data:`RUN_OPTIONS`.  Decoding is disabled because the LPR does not
+    depend on it, which makes these long time-series sweeps much faster.
     """
-    plan = lpr_time_series_plan(
-        distance=distance,
-        policies=policies,
-        p=p,
-        cycles=cycles,
-        shots=shots,
-        transport_model=transport_model,
-        protocol=protocol,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-        code_family=code_family,
-        noise_profile=noise_profile,
-    )
-    # decode=False, so the artifact dir only matters if an executor reuses it;
-    # the prebuild step skips non-decode jobs either way.
-    results = _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir
-    ).run(plan)
+    results = run_sweep(lpr_time_series_plan, *args, **options)
     return {result.policy: result.lpr_total for result in results}
 
 
@@ -484,41 +346,12 @@ def ler_vs_cycles_plan(
     return SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
 
 
-def ler_vs_cycles(
-    distance: int,
-    policies: Sequence[str],
-    cycles_list: Sequence[int],
-    p: float = 1e-3,
-    shots: int = 100,
-    leakage_enabled: bool = True,
-    seed: RngLike = None,
-    decoder_method: str = "auto",
-    engine: str = "auto",
-    batch_size: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    chunk_shots: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    decoder_artifact_dir: Optional[str] = None,
-) -> Dict[str, Dict[int, float]]:
-    """LER as a function of the number of QEC cycles (Figures 1(c), 2(c), 6)."""
-    plan = ler_vs_cycles_plan(
-        distance=distance,
-        policies=policies,
-        cycles_list=cycles_list,
-        p=p,
-        shots=shots,
-        leakage_enabled=leakage_enabled,
-        decoder_method=decoder_method,
-        seed=seed,
-        engine=engine,
-        batch_size=batch_size,
-        chunk_shots=chunk_shots,
-    )
-    results = _executor(
-        jobs, cache_dir, resume, executor, seed, decoder_artifact_dir
-    ).run(plan)
+def ler_vs_cycles(*args, **options) -> Dict[str, Dict[int, float]]:
+    """LER as a function of the number of QEC cycles (Figures 1(c), 2(c), 6).
+
+    Takes the arguments of :func:`ler_vs_cycles_plan` and :data:`RUN_OPTIONS`.
+    """
+    results = run_sweep(ler_vs_cycles_plan, *args, **options)
     table: Dict[str, Dict[int, float]] = {}
     for result in results:
         cycles = result.rounds // result.distance

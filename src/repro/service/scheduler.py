@@ -56,11 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
-from repro.experiments.executor import (
-    PlanExecution,
-    apply_decoder_artifact_dir,
-    execute_chunk_with_stats,
-)
+from repro.experiments.executor import PlanExecution, execute_chunk_with_stats
 from repro.experiments.jobs import SweepPlan
 from repro.experiments.metrics import MetricsRegistry
 from repro.experiments.results import MemoryExperimentResult
@@ -210,8 +206,9 @@ class SweepScheduler:
             worker death and the chunk's re-dispatch.
         heartbeat_interval: Worker heartbeat period (seconds); the
             supervisor scans at the same cadence.
-        decoder_artifact_dir: Persistent decoder-artifact store inherited by
-            every submitted job (perf-only, like the executor's knob).
+        decoder_artifact_dir: Persistent decoder-artifact store every chunk
+            decodes with (perf-only, like the executor's knob).  It belongs
+            to the service: submissions do not carry one.
         journal: Durable submission journal
             (:class:`~repro.service.journal.SubmissionJournal`).  When set,
             every acceptance is logged before admission, terminal states are
@@ -388,7 +385,6 @@ class SweepScheduler:
         submission_key: Optional[str] = None,
     ) -> str:
         """Admission core shared by :meth:`submit` and journal recovery."""
-        plan = apply_decoder_artifact_dir(plan, self.decoder_artifact_dir)
         execution = await asyncio.to_thread(
             PlanExecution, plan, self.store, self.metrics, self._chunk_store
         )
@@ -404,7 +400,9 @@ class SweepScheduler:
             submission.state = STATE_RUNNING
             submission.started = time.time()
             self._journal_event("started", submission)
-            await asyncio.to_thread(execution.prebuild_artifacts)
+            await asyncio.to_thread(
+                execution.prebuild_artifacts, self.decoder_artifact_dir
+            )
             if execution.adaptive_mode:
                 # Sequential stopping rule: dispatch an initial frontier of
                 # chunks (enough to saturate the pool) instead of every
@@ -436,7 +434,23 @@ class SweepScheduler:
             self.metrics.counter("journal_torn_records_dropped").inc(recovery.dropped)
         self._ids = itertools.count(recovery.max_serial + 1)
         for submission_id, record in recovery.live.items():
-            plan = SweepPlan.from_wire(record["plan"])
+            try:
+                plan = SweepPlan.from_wire(record["plan"])
+            except (TypeError, ValueError) as error:
+                # A record this version cannot rebuild faithfully (e.g. an
+                # older plan whose decode jobs carry differing stopping
+                # targets) is retired as failed rather than guessed at or
+                # allowed to block startup.
+                self.metrics.counter("submissions_unreplayable").inc()
+                self.journal.append(
+                    {
+                        "event": "failed",
+                        "id": submission_id,
+                        "ts": time.time(),
+                        "error": f"{type(error).__name__}: {error}",
+                    }
+                )
+                continue
             key = record.get("key") or None
             self.metrics.counter("submissions_recovered").inc()
             await self._admit(plan, submission_id, key)
@@ -599,7 +613,11 @@ class SweepScheduler:
         started = time.perf_counter()
         try:
             result, decoder_stats = await self._loop.run_in_executor(
-                self._pool, execute_chunk_with_stats, job, chunk
+                self._pool,
+                execute_chunk_with_stats,
+                job,
+                chunk,
+                self.decoder_artifact_dir,
             )
         except BrokenProcessPool as error:
             await self._restart_pool(generation)

@@ -26,12 +26,10 @@ from repro.codes import make_code
 from repro.experiments.adaptive import (
     AdaptiveConfig,
     RareEventSampler,
-    apply_adaptive,
     binomial_logpmf,
     binomial_tail,
     cross_check,
     intervals_overlap,
-    job_adaptive_config,
 )
 from repro.experiments.executor import SweepExecutor, SweepStats
 from repro.experiments.jobs import SweepJob, SweepPlan
@@ -53,9 +51,11 @@ def make_job(**overrides):
     return SweepJob(**fields)
 
 
-def build_plan(shots=400, chunk_shots=50, seed=7, p=0.02):
+def build_plan(shots=400, chunk_shots=50, seed=7, p=0.02, adaptive=None):
     configs = [dict(distance=3, policy="eraser", shots=shots, cycles=1, p=p)]
-    return SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
+    plan = SweepPlan.build(configs, seed=seed, chunk_shots=chunk_shots)
+    plan.adaptive = adaptive
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -209,16 +209,16 @@ class TestStoppingRule:
         # A target so loose it is met by the very first chunk: the rule
         # must still run exactly min_chunks chunks.
         config = AdaptiveConfig(target_ci_halfwidth=0.9, min_chunks=3)
-        executor = SweepExecutor(jobs=1, adaptive=config)
-        result = executor.run(build_plan(shots=400, chunk_shots=50))[0]
+        executor = SweepExecutor(jobs=1)
+        result = executor.run(build_plan(shots=400, chunk_shots=50, adaptive=config))[0]
         assert result.shots == 3 * 50
         assert executor.last_stats.jobs_stopped_early == 1
         assert executor.last_stats.shots_saved == 400 - 150
 
     def test_truncated_run_is_prefix_bit_for_bit(self):
         config = AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2)
-        executor = SweepExecutor(jobs=1, adaptive=config)
-        adaptive = executor.run(build_plan())[0]
+        executor = SweepExecutor(jobs=1)
+        adaptive = executor.run(build_plan(adaptive=config))[0]
         assert executor.last_stats.jobs_stopped_early == 1
         assert adaptive.shots < 400
         fixed = SweepExecutor(jobs=1).run(
@@ -230,25 +230,25 @@ class TestStoppingRule:
 
     def test_pool_backend_matches_serial_stop_point(self):
         config = AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2)
-        serial = SweepExecutor(jobs=1, adaptive=config).run(build_plan())[0]
-        pooled = SweepExecutor(jobs=2, adaptive=config).run(build_plan())[0]
+        serial = SweepExecutor(jobs=1).run(build_plan(adaptive=config))[0]
+        pooled = SweepExecutor(jobs=2).run(build_plan(adaptive=config))[0]
         assert pooled.statistically_equal(serial)
         assert pooled.shots == serial.shots
 
     def test_disabled_adaptivity_is_bit_identical_to_fixed(self):
         fixed = SweepExecutor(jobs=1).run(build_plan())[0]
-        plain = SweepExecutor(jobs=1, adaptive=None).run(build_plan())[0]
+        plain = SweepExecutor(jobs=1).run(build_plan(adaptive=AdaptiveConfig()))[0]
         assert plain.statistically_equal(fixed)
         np.testing.assert_array_equal(plain.lpr_data, fixed.lpr_data)
         assert plain.shots == 400
 
     def test_warm_rerun_executes_zero_chunks(self, tmp_path):
         config = AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2)
-        cold = SweepExecutor(jobs=1, cache_dir=str(tmp_path), adaptive=config)
-        first = cold.run(build_plan())[0]
+        cold = SweepExecutor(jobs=1, cache_dir=str(tmp_path))
+        first = cold.run(build_plan(adaptive=config))[0]
         assert cold.last_stats.chunks_run > 0
-        warm = SweepExecutor(jobs=1, cache_dir=str(tmp_path), adaptive=config)
-        second = warm.run(build_plan())[0]
+        warm = SweepExecutor(jobs=1, cache_dir=str(tmp_path))
+        second = warm.run(build_plan(adaptive=config))[0]
         assert warm.last_stats.chunks_run == 0
         assert warm.last_stats.cache_hits == 1
         assert warm.last_stats.shots_saved == 400 - first.shots
@@ -256,13 +256,11 @@ class TestStoppingRule:
 
     def test_adaptive_targets_do_not_change_cache_identity(self):
         plan = build_plan()
-        stamped = apply_adaptive(
-            plan, AdaptiveConfig(target_ci_halfwidth=0.1, min_chunks=2)
-        )
-        for job, adaptive_job in zip(plan.jobs, stamped.jobs):
-            assert adaptive_job.target_ci_halfwidth == 0.1
-            assert job_adaptive_config(adaptive_job) is not None
-            assert adaptive_job.cache_key() == job.cache_key()
+        adaptive = build_plan(adaptive=AdaptiveConfig(target_ci_halfwidth=0.1))
+        assert adaptive.adaptive.target_ci_halfwidth == 0.1
+        assert [job.cache_key() for job in adaptive.jobs] == [
+            job.cache_key() for job in plan.jobs
+        ]
 
     def test_stats_wire_roundtrip_and_tolerance(self):
         stats = SweepStats(

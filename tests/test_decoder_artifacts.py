@@ -385,31 +385,36 @@ class TestExperimentWiring:
         assert warm.last_stats.artifacts_prebuilt == 0
 
     def test_artifact_dir_excluded_from_job_identity(self, tmp_path):
-        plain = compare_policies_plan(
+        plan = compare_policies_plan(
             distances=[3], policies=["eraser"], shots=10, cycles=2, seed=3
-        ).jobs[0]
-        routed = compare_policies_plan(
-            distances=[3], policies=["eraser"], shots=10, cycles=2, seed=3,
-            decoder_artifact_dir=str(tmp_path),
-        ).jobs[0]
-        assert routed.decoder_artifact_dir == str(tmp_path)
-        assert plain.config_dict() == routed.config_dict()
-        assert plain.cache_key() == routed.cache_key()
+        )
+        key = plan.jobs[0].cache_key()
+        plain = SweepExecutor(jobs=1, cache_dir=str(tmp_path / "plain"))
+        routed = SweepExecutor(
+            jobs=1,
+            cache_dir=str(tmp_path / "routed"),
+            decoder_artifact_dir=str(tmp_path / "artifacts"),
+        )
+        expected = plain.run(plan)[0]
+        result = routed.run(plan)[0]
+        assert routed.last_stats.artifacts_prebuilt == 1
+        assert result.statistically_equal(expected)
+        assert list(plain.store.keys()) == list(routed.store.keys()) == [key]
 
     def test_prebuild_dedups_and_skips_non_decode(self, tmp_path):
         art = str(tmp_path / "artifacts")
         jobs = (
             compare_policies_plan(
                 distances=[3], policies=["eraser", "optimal"], shots=10,
-                cycles=2, seed=3, decoder_artifact_dir=art,
+                cycles=2, seed=3,
             ).jobs
             + compare_policies_plan(
                 distances=[3], policies=["eraser"], shots=10, cycles=2,
-                seed=3, decode=False, decoder_artifact_dir=art,
+                seed=3, decode=False,
             ).jobs
         )
-        assert prebuild_job_artifacts(jobs) == 1
-        assert prebuild_job_artifacts(jobs) == 0  # idempotent
+        assert prebuild_job_artifacts(jobs, art) == 1
+        assert prebuild_job_artifacts(jobs, art) == 0  # idempotent
 
 
 class TestIdentityPayload:

@@ -160,10 +160,10 @@ class TestResume:
         original = type(plan.jobs[0]).run_chunk
         crash_key = plan.jobs[1].cache_key()
 
-        def crashing(self, index):
+        def crashing(self, index, *args):
             if self.cache_key() == crash_key:
                 raise RuntimeError("simulated crash mid-sweep")
-            return original(self, index)
+            return original(self, index, *args)
 
         monkeypatch.setattr("repro.experiments.jobs.SweepJob.run_chunk", crashing)
         with pytest.raises(RuntimeError):
