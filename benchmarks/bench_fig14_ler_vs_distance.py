@@ -15,7 +15,7 @@ from repro.experiments.sweep import compare_policies
 POLICIES = ("always-lrc", "eraser", "eraser+m", "optimal")
 
 
-def _run(distances, shots, seed, engine="auto", batch_size=None, sweep_opts=None):
+def _run(distances, shots, seed, engine="packed", batch_size=None, sweep_opts=None):
     return compare_policies(
         distances=distances,
         policies=POLICIES,

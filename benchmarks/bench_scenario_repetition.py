@@ -14,7 +14,7 @@ from repro.analysis.tables import series_table
 from repro.experiments.sweep import DEFAULT_POLICIES, compare_policies
 
 
-def _run(distances, shots, seed, engine="auto", batch_size=None, sweep_opts=None):
+def _run(distances, shots, seed, engine="packed", batch_size=None, sweep_opts=None):
     return compare_policies(
         distances=distances,
         policies=DEFAULT_POLICIES,

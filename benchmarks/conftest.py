@@ -7,8 +7,7 @@ to laptop budgets; two environment variables let you trade time for precision:
 
 * ``ERASER_REPRO_SHOTS`` — shots per configuration (default 200).
 * ``ERASER_REPRO_MAX_DISTANCE`` — largest code distance swept (default 5).
-* ``ERASER_REPRO_ENGINE`` — Monte-Carlo engine
-  (``auto``/``packed``/``batched``/``scalar``).
+* ``ERASER_REPRO_ENGINE`` — Monte-Carlo engine (``packed``/``scalar``).
 * ``ERASER_REPRO_BATCH`` — shots per simulator batch (0 = engine default).
 
 Sweep orchestration (see :mod:`repro.experiments.executor`) is controlled the
@@ -28,6 +27,8 @@ same way; every sweep-shaped benchmark forwards these to the executor:
 import os
 
 import pytest
+
+from repro.experiments.memory import ENGINES
 
 
 def _int_env(name: str, default: int) -> int:
@@ -61,9 +62,9 @@ def seed() -> int:
 
 @pytest.fixture(scope="session")
 def engine() -> str:
-    """Monte-Carlo engine driving the sweeps (auto = batched when possible)."""
-    value = os.environ.get("ERASER_REPRO_ENGINE", "auto").strip().lower()
-    return value if value in ("auto", "batched", "scalar", "packed") else "auto"
+    """Monte-Carlo engine driving the sweeps."""
+    value = os.environ.get("ERASER_REPRO_ENGINE", "packed").strip().lower()
+    return value if value in ENGINES else "packed"
 
 
 @pytest.fixture(scope="session")

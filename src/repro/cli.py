@@ -52,6 +52,7 @@ from repro.densitymatrix.study import SingleStabilizerLeakageStudy
 from repro.decoder.artifacts import default_artifact_dir
 from repro.dqlr.protocol import run_dqlr_comparison
 from repro.experiments.executor import SweepExecutor
+from repro.experiments.memory import ENGINES
 from repro.experiments.registry import format_experiment_index, get_experiment
 from repro.experiments.results import PolicySweepResult
 from repro.experiments.store import DEFAULT_SERVICE_SHARDS, default_cache_dir
@@ -81,10 +82,10 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "batched", "scalar", "packed"],
-        default="auto",
-        help="Monte-Carlo engine: bit-packed words, vectorised batched "
-        "shots, or the scalar loop (auto picks packed for large runs).",
+        choices=list(ENGINES),
+        default="packed",
+        help="Monte-Carlo engine: bit-packed words (64 shots per word) or "
+        "the scalar one-shot-at-a-time reference loop.",
     )
     parser.add_argument(
         "--code-family",
@@ -105,7 +106,7 @@ def _add_common_sweep_args(parser: argparse.ArgumentParser) -> None:
         "--batch-size",
         type=int,
         default=None,
-        help="Shots simulated together per batch (batched engine only).",
+        help="Shots simulated together per batch (packed engine only).",
     )
     _add_orchestration_args(parser)
 

@@ -146,7 +146,7 @@ class QecScheduleGenerator:
         Start-of-round noise, the X-ancilla Hadamard sandwich, and the four
         CNOT extraction layers are identical for every round and every shot,
         so they are built once and shared; operations are immutable index
-        arrays, which makes the sharing safe.  The batched experiment harness
+        arrays, which makes the sharing safe.  The packed experiment harness
         exploits this by executing the prefix over a whole batch at once even
         when the rounds' LRC tails differ per shot.
         """

@@ -112,7 +112,7 @@ def dqlr_comparison_plan(
     decode: bool = True,
     decoder_method: str = "auto",
     seed: RngLike = None,
-    engine: str = "auto",
+    engine: str = "packed",
     batch_size: int = None,
     chunk_shots: int = None,
     code_family: str = None,

@@ -50,6 +50,12 @@ from repro.sim.rng import RngLike
 #: per-task overhead (fork, pickle, simulator setup) stays negligible.
 DEFAULT_CHUNK_SHOTS = 256
 
+#: Engine names of older wire forms, which :meth:`SweepJob.from_wire`
+#: replays on the packed engine.  The cache key moves with the value, so
+#: results cached under these names (other random streams) miss instead of
+#: being served.
+_LEGACY_ENGINES = ("auto", "batched")
+
 
 def resolve_policy(name: str, **kwargs) -> LrcPolicy:
     """Instantiate any schedulable policy, including the DQLR baseline."""
@@ -121,7 +127,7 @@ class SweepJob:
     protocol: str = PROTOCOL_SWAP
     decode: bool = True
     decoder_method: str = "auto"
-    engine: str = "auto"
+    engine: str = "packed"
     batch_size: Optional[int] = None
     policy_kwargs: Tuple[Tuple[str, object], ...] = ()
     seed_entropy: int = 0
@@ -209,8 +215,13 @@ class SweepJob:
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepJob":
-        """Rebuild a job from :meth:`to_wire` (inverse, bit-identical)."""
+        """Rebuild a job from :meth:`to_wire` (inverse, bit-identical).
+
+        Legacy engine names (:data:`_LEGACY_ENGINES`) become ``"packed"``.
+        """
         fields = dict(payload)
+        if fields.get("engine") in _LEGACY_ENGINES:
+            fields["engine"] = "packed"
         fields["policy_kwargs"] = tuple(
             (str(key), value) for key, value in fields.get("policy_kwargs", [])
         )

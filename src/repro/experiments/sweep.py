@@ -87,7 +87,7 @@ def _config(
     protocol: str = PROTOCOL_SWAP,
     decode: bool = True,
     decoder_method: str = "auto",
-    engine: str = "auto",
+    engine: str = "packed",
     batch_size: Optional[int] = None,
     code_family: Optional[str] = None,
     noise_profile=None,
@@ -125,7 +125,7 @@ def run_single_plan(
     decoder_method: str = "auto",
     seed: RngLike = None,
     rounds: Optional[int] = None,
-    engine: str = "auto",
+    engine: str = "packed",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
     code_family: Optional[str] = None,
@@ -177,7 +177,7 @@ def compare_policies_plan(
     decode: bool = True,
     decoder_method: str = "auto",
     seed: RngLike = None,
-    engine: str = "auto",
+    engine: str = "packed",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
     code_family: Optional[str] = None,
@@ -239,7 +239,7 @@ def lpr_time_series_plan(
     transport_model: LeakageTransportModel = LeakageTransportModel.REMAIN,
     protocol: str = PROTOCOL_SWAP,
     seed: RngLike = None,
-    engine: str = "auto",
+    engine: str = "packed",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
     code_family: Optional[str] = None,
@@ -323,7 +323,7 @@ def ler_vs_cycles_plan(
     leakage_enabled: bool = True,
     decoder_method: str = "auto",
     seed: RngLike = None,
-    engine: str = "auto",
+    engine: str = "packed",
     batch_size: Optional[int] = None,
     chunk_shots: Optional[int] = None,
 ) -> SweepPlan:

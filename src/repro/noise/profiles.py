@@ -134,7 +134,7 @@ def draw_pauli_codes(rng, cdf: Optional[np.ndarray], size, num_codes: int) -> np
     ``cdf = None`` is the uniform draw of the paper's model (byte-identical
     to the pre-profile engines' ``rng.integers`` call); a cumulative
     distribution (from :func:`_biased_pauli_cdfs`) biases the mix.  One
-    shared implementation serves both engines — the scalar/batched
+    shared implementation serves both engines — the scalar/packed
     statistical-equivalence contract rests on the two drawing codes the
     same way, so the convention must not be able to drift between them.
     """

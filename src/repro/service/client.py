@@ -51,6 +51,13 @@ SERVICE_URL_ENV = "ERASER_REPRO_SERVICE_URL"
 DEFAULT_BACKOFF_CAP = 5.0
 DEFAULT_POLL_CAP = 2.0
 
+#: Socket-timeout cap (seconds) of the control endpoints, ``/submit`` and
+#: ``/status``: the server answers both without waiting on Monte-Carlo
+#: work, so a response lost in flight is retried after this long rather
+#: than after the client's full ``timeout`` (a retried submit dedupes on its
+#: idempotency key).  ``/results`` keeps ``timeout``.
+CONTROL_TIMEOUT = 5.0
+
 
 def default_service_url() -> str:
     """Service URL from ``ERASER_REPRO_SERVICE_URL``, else the default port."""
@@ -92,7 +99,8 @@ class SweepServiceClient:
     Args:
         base_url: Service root, e.g. ``http://127.0.0.1:7917`` (defaults to
             :func:`default_service_url`).
-        timeout: Per-request socket timeout in seconds.
+        timeout: Per-request socket timeout in seconds (``/submit`` and
+            ``/status`` cap it at :data:`CONTROL_TIMEOUT`).
         retries: How many times a failed request may be retried (connection
             errors, 5xx, and 429/503 rate-limit responses).  ``0`` restores
             the fail-fast behaviour.
@@ -136,13 +144,13 @@ class SweepServiceClient:
         path: str,
         payload: Optional[Dict[str, object]],
         deadline_at: Optional[float],
+        timeout: Optional[float],
     ) -> bytes:
         body = None
         headers = {}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        timeout = self.timeout
         if deadline_at is not None:
             remaining = deadline_at - time.monotonic()
             if remaining <= 0:
@@ -189,14 +197,17 @@ class SweepServiceClient:
         payload: Optional[Dict[str, object]] = None,
         deadline: Optional[float] = None,
         retries: Optional[int] = None,
+        timeout: Optional[float] = None,
     ) -> bytes:
         """One API call with jittered-exponential retry.
 
         Connection errors and 5xx/429/503 responses are retried up to
         ``retries`` times; other HTTP errors raise immediately.  A
         server-sent ``Retry-After`` raises the next delay, and no retry
-        sleeps past the request ``deadline``.
+        sleeps past the request ``deadline``.  ``timeout`` overrides the
+        client's per-attempt socket timeout.
         """
+        timeout = self.timeout if timeout is None else timeout
         budget = self.retries if retries is None else int(retries)
         effective_deadline = self.deadline if deadline is None else deadline
         deadline_at = (
@@ -207,7 +218,7 @@ class SweepServiceClient:
         attempt = 0
         while True:
             try:
-                return self._request_once(method, path, payload, deadline_at)
+                return self._request_once(method, path, payload, deadline_at, timeout)
             except (ServiceUnavailable, ServiceUnreachable) as error:
                 if attempt >= budget:
                     raise
@@ -233,10 +244,17 @@ class SweepServiceClient:
         payload: Optional[Dict[str, object]] = None,
         deadline: Optional[float] = None,
         retries: Optional[int] = None,
+        timeout: Optional[float] = None,
     ) -> Dict[str, object]:
         return json.loads(
-            self._request(method, path, payload, deadline=deadline, retries=retries)
+            self._request(
+                method, path, payload, deadline=deadline, retries=retries, timeout=timeout
+            )
         )
+
+    def _control_timeout(self) -> float:
+        """Socket timeout of ``/submit`` and ``/status`` (see :data:`CONTROL_TIMEOUT`)."""
+        return min(self.timeout or CONTROL_TIMEOUT, CONTROL_TIMEOUT)
 
     # ------------------------------------------------------------------
     def ping(self) -> bool:
@@ -267,12 +285,15 @@ class SweepServiceClient:
         """
         key = submission_key or uuid.uuid4().hex
         payload = {"plan": plan.to_wire(), "submission_key": key}
-        return str(
-            self._request_json("POST", "/submit", payload, deadline=deadline)["job_id"]
+        response = self._request_json(
+            "POST", "/submit", payload, deadline=deadline, timeout=self._control_timeout()
         )
+        return str(response["job_id"])
 
     def status(self, job_id: str) -> Dict[str, object]:
-        return self._request_json("GET", f"/status/{job_id}")
+        return self._request_json(
+            "GET", f"/status/{job_id}", timeout=self._control_timeout()
+        )
 
     def wait(
         self,

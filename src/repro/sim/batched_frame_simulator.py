@@ -1,598 +1,3 @@
-"""Batched (multi-shot) Pauli-frame simulator with leakage tracking.
-
-The production engine behind the Section 6 Monte-Carlo evaluation.
-
-The scalar :class:`~repro.sim.frame_simulator.LeakageFrameSimulator` executes
-one Monte-Carlo shot at a time, which leaves the Python interpreter — not
-numpy — as the bottleneck of every sweep.  This module provides the batched
-engine: all frames are carried as ``(shots, num_qubits)`` boolean arrays and
-every operation of the circuit IR (:mod:`repro.sim.circuit`) is vectorised
-across the shot axis, so a round of syndrome extraction costs the same small
-number of numpy calls regardless of how many shots are in flight.
-
-Statistical contract
---------------------
-The batched engine draws its random numbers in a different order than the
-scalar engine, so individual shots differ bit-for-bit between the two even
-under a shared seed.  The *distribution* of every observable is identical:
-each error mechanism is applied with the same probability, conditioned on the
-same per-qubit state, in the same sequence of operations.  Deterministic
-(noise-free) circuits produce exactly equal outputs on both engines.
-``tests/test_batched_equivalence.py`` enforces both halves of this contract.
-
-Row-subset and instance execution
----------------------------------
-Adaptive LRC policies give different shots different schedules within one
-round.  Two mechanisms keep that vectorised:
-
-* ``run(..., shots_sel=rows)`` executes an operation list over a row subset
-  of the frame arrays (shots outside the subset are untouched);
-* the ``*_instances`` methods act on *pair instances* — parallel 1-D arrays
-  ``(shot, data qubit, ancilla)``, one entry per scheduled LRC in the whole
-  batch.  Within one shot the scheduled pairs are disjoint, so every
-  ``(shot, qubit)`` cell is unique and ordinary fancy indexing applies; the
-  per-round cost is a fixed handful of numpy calls no matter how many
-  distinct per-shot assignments the policy produced.
-
-Internally every gate is written against an arbitrary numpy index expression
-(a broadcast ``(rows, columns)`` mesh for 2-D blocks, a
-``(shot_array, qubit_array)`` pair for 1-D instance sets), so both forms
-share one implementation.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
-
-import numpy as np
-
-from repro.noise.leakage import LeakageModel, LeakageTransportModel
-from repro.noise.model import NoiseParams
-from repro.noise.profiles import QubitNoise, channel_active, draw_pauli_codes
-from repro.sim.circuit import (
-    Cnot,
-    Hadamard,
-    LeakISwap,
-    LrcFinalize,
-    Measure,
-    MeasureReset,
-    Operation,
-    Reset,
-    RoundNoise,
-)
-from repro.sim.frame_simulator import LABEL_LEAKED
-from repro.sim.rng import RngLike, make_rng
-
-
-def _mesh(rows: np.ndarray, qubits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Broadcast index pair selecting the (rows x qubits) block of a frame."""
-    return rows[:, np.newaxis], qubits
-
-
-@dataclass
-class BatchedMeasurementRecord:
-    """Result of one measurement operation across every shot in the batch.
-
-    Attributes:
-        qubits: Physical qubit indices that were measured, in order.
-        bits: ``(shots, len(qubits))`` measured bits (flips relative to the
-            noiseless reference).
-        labels: ``(shots, len(qubits))`` multi-level discriminator labels
-            (0, 1, or 2 == |L>), including classification error.
-        true_leaked: ``(shots, len(qubits))`` ground-truth leakage status at
-            measurement time.
-        meta: Arbitrary metadata attached by the schedule generator (typically
-            the stabilizer indices measured by these qubits).
-    """
-
-    qubits: np.ndarray
-    bits: np.ndarray
-    labels: np.ndarray
-    true_leaked: np.ndarray
-    meta: tuple
-
-
-class BatchedLeakageFrameSimulator:
-    """Pauli-frame + leakage simulator for many Monte-Carlo shots at once.
-
-    Semantically equivalent to running ``shots`` independent
-    :class:`~repro.sim.frame_simulator.LeakageFrameSimulator` instances, but
-    every noise channel, gate, and measurement acts on 2-D ``(shots, qubits)``
-    arrays in a handful of numpy calls.
-
-    Args:
-        num_qubits: Total number of physical qubits per shot.
-        noise: Circuit-level noise parameters shared by all shots — a scalar
-            :class:`~repro.noise.model.NoiseParams` (the uniform fast path)
-            or a per-qubit :class:`~repro.noise.profiles.QubitNoise`; the
-            per-qubit rates broadcast along the shot axis.
-        leakage: Leakage model parameters (shared by all shots).
-        shots: Number of Monte-Carlo shots carried by the frame arrays.
-        rng: Seed or numpy generator; a single stream serves the whole batch.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        noise: Union[NoiseParams, QubitNoise],
-        leakage: LeakageModel,
-        shots: int,
-        rng: RngLike = None,
-    ):
-        if num_qubits <= 0:
-            raise ValueError("num_qubits must be positive")
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        noise.validate()
-        if isinstance(noise, QubitNoise) and noise.num_qubits != num_qubits:
-            raise ValueError(
-                f"per-qubit noise covers {noise.num_qubits} qubits, "
-                f"but the simulator has {num_qubits}"
-            )
-        leakage.validate()
-        self.num_qubits = num_qubits
-        self.shots = shots
-        self.noise = noise
-        self.leakage = leakage
-        self.rng = make_rng(rng)
-        self.x = np.zeros((shots, num_qubits), dtype=bool)
-        self.z = np.zeros((shots, num_qubits), dtype=bool)
-        self.leaked = np.zeros((shots, num_qubits), dtype=bool)
-        self._all_rows = np.arange(shots, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        operations: Sequence[Operation],
-        shots_sel: Optional[np.ndarray] = None,
-    ) -> Dict[str, BatchedMeasurementRecord]:
-        """Execute operations on all shots (or a row subset) and return records.
-
-        Args:
-            operations: The circuit IR operation list for (part of) a round.
-            shots_sel: Optional 1-D array of shot indices to execute on; the
-                remaining shots are untouched.  Record arrays then have
-                ``len(shots_sel)`` rows, ordered like ``shots_sel``.
-        """
-        rows = self._all_rows if shots_sel is None else np.asarray(shots_sel, dtype=np.int64)
-        records: Dict[str, BatchedMeasurementRecord] = {}
-        for op in operations:
-            if isinstance(op, RoundNoise):
-                self._round_noise(rows, op.qubits)
-            elif isinstance(op, Hadamard):
-                self._hadamard(rows, op.qubits)
-            elif isinstance(op, Cnot):
-                self._cnot_ix(_mesh(rows, op.controls), _mesh(rows, op.targets))
-            elif isinstance(op, Measure):
-                records[op.key] = self._measure_record(rows, op.qubits, op.meta)
-            elif isinstance(op, MeasureReset):
-                records[op.key] = self._measure_record(rows, op.qubits, op.meta)
-                self._reset_ix(_mesh(rows, op.qubits))
-            elif isinstance(op, Reset):
-                self._reset_ix(_mesh(rows, op.qubits))
-            elif isinstance(op, LrcFinalize):
-                records[op.key] = self._lrc_finalize(rows, op)
-            elif isinstance(op, LeakISwap):
-                self._leak_iswap_ix(
-                    _mesh(rows, op.data_qubits), _mesh(rows, op.ancillas)
-                )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unsupported operation {type(op).__name__}")
-        return records
-
-    def leaked_at(self, qubits: Sequence[int]) -> np.ndarray:
-        """Ground-truth leakage for the given qubits as bool ``(shots, k)``.
-
-        The engine-agnostic accessor the harness uses (the packed engine
-        cannot expose a sliceable boolean ``leaked`` attribute directly).
-        """
-        idx = np.asarray(qubits, dtype=np.int64)
-        return self.leaked[:, idx]
-
-    def leaked_fraction(self, qubits: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-shot fraction of the given qubits (default: all) currently leaked.
-
-        Returns a ``(shots,)`` float array; each entry lies in ``[0, 1]``.
-        """
-        if qubits is None:
-            return self.leaked.mean(axis=1)
-        idx = np.asarray(qubits, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(self.shots)
-        return self.leaked[:, idx].mean(axis=1)
-
-    def snapshot_leaked(self) -> np.ndarray:
-        """Copy of the current ``(shots, num_qubits)`` leakage flags."""
-        return self.leaked.copy()
-
-    # ------------------------------------------------------------------
-    # Instance API (one entry per scheduled LRC pair across the batch)
-    # ------------------------------------------------------------------
-    def swap_instances(
-        self, shot_idx: np.ndarray, data_qubits: np.ndarray, ancillas: np.ndarray
-    ) -> None:
-        """Three-CNOT SWAP on per-shot (data, ancilla) pair instances."""
-        if shot_idx.size == 0:
-            return
-        ix_d = (shot_idx, data_qubits)
-        ix_a = (shot_idx, ancillas)
-        self._cnot_ix(ix_d, ix_a)
-        self._cnot_ix(ix_a, ix_d)
-        self._cnot_ix(ix_d, ix_a)
-
-    def lrc_finalize_instances(
-        self,
-        shot_idx: np.ndarray,
-        data_qubits: np.ndarray,
-        ancillas: np.ndarray,
-        adaptive_multilevel: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SWAP-LRC tail on pair instances; returns 1-D (bits, labels, leaked).
-
-        Semantics mirror :class:`~repro.sim.circuit.LrcFinalize`: measure the
-        data-side qubit (which now holds the parity outcome), reset it, swap
-        the parked data state back — unless ``adaptive_multilevel`` is set and
-        the measurement reported |L>, in which case the swap-back is squashed
-        and the parity qubit is reset instead (ERASER+M, Section 4.6.2).
-        """
-        ix_d = (shot_idx, data_qubits)
-        bits, labels, true_leaked = self._measure_ix(ix_d)
-        self._reset_ix(ix_d)
-        if adaptive_multilevel:
-            leaked_label = labels == LABEL_LEAKED
-        else:
-            leaked_label = np.zeros(shot_idx.shape, dtype=bool)
-        back = ~leaked_label
-        s_b, d_b, a_b = shot_idx[back], data_qubits[back], ancillas[back]
-        if s_b.size:
-            # Two-CNOT swap-back (valid because the data-side qubit is in |0>).
-            self._cnot_ix((s_b, a_b), (s_b, d_b))
-            self._cnot_ix((s_b, d_b), (s_b, a_b))
-            # The parity qubit physically ends in |0>; the residual phase frame
-            # it would carry in the frame formalism is unphysical, so clear it.
-            self.z[s_b, a_b] = False
-        if leaked_label.any():
-            squash = leaked_label
-            s_q, d_q, a_q = shot_idx[squash], data_qubits[squash], ancillas[squash]
-            self._reset_ix((s_q, a_q))
-            # The parked data state is lost; the data qubit is freshly reset,
-            # which relative to the reference amounts to a random Pauli.
-            self._random_pauli_masked((s_q, d_q), np.ones(s_q.shape, dtype=bool))
-        return bits, labels, true_leaked
-
-    def leak_iswap_instances(
-        self, shot_idx: np.ndarray, data_qubits: np.ndarray, ancillas: np.ndarray
-    ) -> None:
-        """DQLR LeakageISWAP on per-shot (data, ancilla) pair instances."""
-        if shot_idx.size == 0:
-            return
-        self._leak_iswap_ix((shot_idx, data_qubits), (shot_idx, ancillas))
-
-    def reset_instances(self, shot_idx: np.ndarray, qubits: np.ndarray) -> None:
-        """Reset per-shot qubit instances to |0>."""
-        if shot_idx.size == 0:
-            return
-        self._reset_ix((shot_idx, qubits))
-
-    def measure_reset_masked(
-        self,
-        qubits: np.ndarray,
-        meta: tuple,
-        active: np.ndarray,
-    ) -> BatchedMeasurementRecord:
-        """Measure-and-reset the given qubits only where ``active`` is set.
-
-        Used by the batched harness to measure each shot's *main* parity
-        qubits while leaving the per-shot LRC'd ancillas (which hold parked
-        data states) untouched; record cells where ``active`` is False carry
-        draws from the random stream but no state was touched there, and the
-        caller overwrites them with the LRC measurement results.
-        """
-        rows = self._all_rows
-        ix = _mesh(rows, qubits)
-        bits, labels, true_leaked = self._measure_ix(ix, collapse=active)
-        self._reset_ix(ix, active=active)
-        return BatchedMeasurementRecord(
-            qubits=qubits.copy(),
-            bits=bits,
-            labels=labels,
-            true_leaked=true_leaked,
-            meta=meta,
-        )
-
-    # ------------------------------------------------------------------
-    # Noise primitives (shape-agnostic: act through any index expression)
-    # ------------------------------------------------------------------
-    def _bernoulli(self, p, shape) -> np.ndarray:
-        """Bernoulli draws of ``shape`` with scalar or per-cell ``p``.
-
-        A per-cell ``p`` (from a gathered per-qubit channel array) must
-        broadcast against ``shape``; the scalar branch is the pre-profile
-        code path, byte-for-byte, so uniform configurations keep their
-        seeded random stream.
-        """
-        if isinstance(p, np.ndarray):
-            if not p.any():
-                return np.zeros(shape, dtype=bool)
-            return self.rng.random(shape) < p
-        if p <= 0.0:
-            return np.zeros(shape, dtype=bool)
-        return self.rng.random(shape) < p
-
-    _channel_active = staticmethod(channel_active)
-
-    @staticmethod
-    def _gather(p, ix):
-        """Per-cell rates for an index expression (scalar rates pass through).
-
-        Both index forms carry the qubit component in ``ix[1]`` — a 1-D qubit
-        array for broadcast ``(rows, qubits)`` meshes and for per-shot
-        instance sets alike — so ``p[ix[1]]`` broadcasts against the cell
-        block either way.
-        """
-        if isinstance(p, np.ndarray):
-            return p[ix[1]]
-        return p
-
-    def _pauli1_codes(self, shape) -> np.ndarray:
-        """Draw single-qubit error codes 1..3, biased when the profile says so."""
-        return draw_pauli_codes(
-            self.rng, getattr(self.noise, "pauli1_cdf", None), shape, 3
-        )
-
-    def _pauli2_codes(self, shape) -> np.ndarray:
-        """Draw two-qubit error codes 1..15, biased when the profile says so."""
-        return draw_pauli_codes(
-            self.rng, getattr(self.noise, "pauli2_cdf", None), shape, 15
-        )
-
-    def _pauli_flips(self, codes: np.ndarray):
-        """X/Z flip masks for Pauli codes 0=I, 1=X, 2=Y, 3=Z."""
-        return (codes == 1) | (codes == 2), (codes == 3) | (codes == 2)
-
-    def _depolarize1_masked(self, ix, mask: np.ndarray, p) -> None:
-        """Single-qubit depolarising noise on the cells where ``mask`` is set."""
-        if not self._channel_active(p) or not mask.any():
-            return
-        hit = self._bernoulli(self._gather(p, ix), mask.shape) & mask
-        codes = self._pauli1_codes(mask.shape)
-        xf, zf = self._pauli_flips(codes)
-        self.x[ix] ^= hit & xf
-        self.z[ix] ^= hit & zf
-
-    def _depolarize2_masked(self, ix_c, ix_t, mask: np.ndarray, p) -> None:
-        """Correlated two-qubit depolarising noise on masked (control, target) pairs."""
-        if not self._channel_active(p) or not mask.any():
-            return
-        if isinstance(p, np.ndarray):
-            # Per-qubit gate rates: a pair errs at the mean of its operands'
-            # rates (the uniform model is the degenerate equal-rate case).
-            pair_p = 0.5 * (self._gather(p, ix_c) + self._gather(p, ix_t))
-        else:
-            pair_p = p
-        hit = self._bernoulli(pair_p, mask.shape) & mask
-        # Uniform (or profile-biased) over the 15 non-identity two-qubit Paulis.
-        codes = self._pauli2_codes(mask.shape)
-        cxf, czf = self._pauli_flips(codes // 4)
-        txf, tzf = self._pauli_flips(codes % 4)
-        self.x[ix_c] ^= hit & cxf
-        self.z[ix_c] ^= hit & czf
-        self.x[ix_t] ^= hit & txf
-        self.z[ix_t] ^= hit & tzf
-
-    def _random_pauli_masked(self, ix, mask: np.ndarray) -> None:
-        """Uniformly random Pauli (I, X, Y, Z) on the cells where ``mask`` is set."""
-        if not mask.any():
-            return
-        codes = self.rng.integers(0, 4, size=mask.shape)
-        xf, zf = self._pauli_flips(codes)
-        self.x[ix] ^= mask & xf
-        self.z[ix] ^= mask & zf
-
-    def _inject_leakage_masked(self, ix, mask: Optional[np.ndarray], p: float) -> None:
-        """Leak each currently-unleaked cell (where ``mask`` allows) with prob ``p``."""
-        if p <= 0.0:
-            return
-        unleaked = ~self.leaked[ix]
-        if mask is not None:
-            unleaked &= mask
-        hit = self._bernoulli(p, unleaked.shape) & unleaked
-        self.leaked[ix] |= hit
-
-    def _return_to_computational_masked(self, ix, mask: np.ndarray) -> None:
-        """Return masked leaked cells to the computational basis in a random state."""
-        if not mask.any():
-            return
-        self.leaked[ix] &= ~mask
-        rand_x = self.rng.random(mask.shape) < 0.5
-        rand_z = self.rng.random(mask.shape) < 0.5
-        self.x[ix] = np.where(mask, rand_x, self.x[ix])
-        self.z[ix] = np.where(mask, rand_z, self.z[ix])
-
-    # ------------------------------------------------------------------
-    # Gate implementations
-    # ------------------------------------------------------------------
-    def _round_noise(self, rows: np.ndarray, qubits: np.ndarray) -> None:
-        ix = _mesh(rows, qubits)
-        leaked = self.leaked[ix]
-        self._depolarize1_masked(ix, ~leaked, self.noise.p_round_depolarize)
-        self._inject_leakage_masked(ix, None, self.leakage.p_leak_round)
-        # Seepage: leaked qubits spontaneously return to the computational basis.
-        if self.leakage.p_seepage > 0.0 and leaked.any():
-            seep = self._bernoulli(self.leakage.p_seepage, leaked.shape) & leaked
-            self._return_to_computational_masked(ix, seep)
-
-    def _hadamard(self, rows: np.ndarray, qubits: np.ndarray) -> None:
-        ix = _mesh(rows, qubits)
-        ok = ~self.leaked[ix]
-        if not ok.any():
-            return
-        xv = self.x[ix]
-        zv = self.z[ix]
-        self.x[ix] = np.where(ok, zv, xv)
-        self.z[ix] = np.where(ok, xv, zv)
-        self._depolarize1_masked(ix, ok, self.noise.p_gate1)
-
-    def _cnot_ix(self, ix_c, ix_t, active: Optional[np.ndarray] = None) -> None:
-        leaked_c = self.leaked[ix_c]
-        leaked_t = self.leaked[ix_t]
-        if leaked_c.size == 0:
-            return
-        both_ok = ~leaked_c & ~leaked_t
-        if active is not None:
-            both_ok &= active
-
-        # Normal frame propagation and gate noise on fully unleaked pairs.
-        self.x[ix_t] ^= self.x[ix_c] & both_ok
-        self.z[ix_c] ^= self.z[ix_t] & both_ok
-        self._depolarize2_masked(ix_c, ix_t, both_ok, self.noise.p_gate2)
-
-        # Interaction between a leaked and an unleaked operand: the unleaked
-        # qubit suffers a random Pauli and may acquire leakage via transport.
-        recv_is_target = leaked_c & ~leaked_t
-        recv_is_control = leaked_t & ~leaked_c
-        if active is not None:
-            recv_is_target &= active
-            recv_is_control &= active
-        one_leaked = recv_is_target | recv_is_control
-        if one_leaked.any():
-            # At most one operand of a pair is a receiver, so the same code
-            # draw can serve whichever side needs it.
-            codes = self.rng.integers(0, 4, size=one_leaked.shape)
-            xf, zf = self._pauli_flips(codes)
-            self.x[ix_t] ^= xf & recv_is_target
-            self.z[ix_t] ^= zf & recv_is_target
-            self.x[ix_c] ^= xf & recv_is_control
-            self.z[ix_c] ^= zf & recv_is_control
-            transported = (
-                self._bernoulli(self.leakage.p_transport, one_leaked.shape) & one_leaked
-            )
-            if transported.any():
-                self.leaked[ix_t] |= transported & recv_is_target
-                self.leaked[ix_c] |= transported & recv_is_control
-                if self.leakage.transport_model is LeakageTransportModel.EXCHANGE:
-                    # The source returns to the computational basis: the source
-                    # is the control when the target received, and vice versa.
-                    self._return_to_computational_masked(
-                        ix_c, transported & recv_is_target
-                    )
-                    self._return_to_computational_masked(
-                        ix_t, transported & recv_is_control
-                    )
-
-        # Operation-induced leakage injection on currently unleaked operands.
-        self._inject_leakage_masked(ix_c, active, self.leakage.p_leak_gate)
-        self._inject_leakage_masked(ix_t, active, self.leakage.p_leak_gate)
-
-    def _measure_ix(
-        self, ix, collapse: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Measure the indexed cells; returns (bits, labels, true_leaked).
-
-        ``collapse`` restricts the phase-frame collapse (and hence the actual
-        measurement back-action) to a subset of cells; bits for the remaining
-        cells are still drawn but the state there is untouched.
-        """
-        true_leaked = self.leaked[ix].copy()
-        shape = true_leaked.shape
-        bits = self.x[ix].copy()
-        # Error-application order (pinned by the regression tests, identical to
-        # the scalar engine): the classical p_measure flip is applied first and
-        # is then *overwritten* — not re-applied — by the uniformly random
-        # outcome that a two-level discriminator reports for a leaked qubit.
-        bits ^= self._bernoulli(self._gather(self.noise.p_measure, ix), shape)
-        if true_leaked.any():
-            random_bits = self.rng.random(shape) < 0.5
-            bits = np.where(true_leaked, random_bits, bits)
-        labels = bits.astype(np.int8)
-        labels[true_leaked] = LABEL_LEAKED
-        # Multi-level discriminator classification error (rate 10p): report one
-        # of the two incorrect labels uniformly at random.
-        p_ml = self.noise.p_multilevel_readout_error
-        if self._channel_active(p_ml):
-            wrong = self._bernoulli(self._gather(p_ml, ix), shape)
-            if wrong.any():
-                shift = self.rng.integers(1, 3, size=shape).astype(np.int8)
-                labels = np.where(wrong, (labels + shift) % 3, labels)
-        # Measurement collapses phase information relative to the reference.
-        if collapse is None:
-            self.z[ix] = False
-        else:
-            self.z[ix] &= ~collapse
-        return bits.astype(np.uint8), labels.astype(np.uint8), true_leaked
-
-    def _measure_record(
-        self, rows: np.ndarray, qubits: np.ndarray, meta: tuple
-    ) -> BatchedMeasurementRecord:
-        bits, labels, true_leaked = self._measure_ix(_mesh(rows, qubits))
-        return BatchedMeasurementRecord(
-            qubits=qubits.copy(),
-            bits=bits,
-            labels=labels,
-            true_leaked=true_leaked,
-            meta=meta,
-        )
-
-    def _reset_ix(self, ix, active: Optional[np.ndarray] = None) -> None:
-        shape = self.leaked[ix].shape
-        # Initialisation error: qubit prepared in |1> instead of |0>.
-        flips = self._bernoulli(self._gather(self.noise.p_reset, ix), shape)
-        if active is None:
-            self.x[ix] = flips
-            self.z[ix] = False
-            self.leaked[ix] = False
-        else:
-            self.x[ix] = np.where(active, flips, self.x[ix])
-            self.z[ix] &= ~active
-            self.leaked[ix] &= ~active
-
-    def _lrc_finalize(self, rows: np.ndarray, op: LrcFinalize) -> BatchedMeasurementRecord:
-        # Expand the (rows x pairs) block into pair instances so the IR path
-        # and the instance path share one implementation.
-        n_pairs = op.data_qubits.size
-        shot_idx = np.repeat(rows, n_pairs)
-        data_qubits = np.tile(op.data_qubits, rows.size)
-        ancillas = np.tile(op.ancillas, rows.size)
-        bits, labels, true_leaked = self.lrc_finalize_instances(
-            shot_idx, data_qubits, ancillas,
-            adaptive_multilevel=op.adaptive_multilevel,
-        )
-        shape = (rows.size, n_pairs)
-        return BatchedMeasurementRecord(
-            qubits=op.data_qubits.copy(),
-            bits=bits.reshape(shape),
-            labels=labels.reshape(shape),
-            true_leaked=true_leaked.reshape(shape),
-            meta=op.meta,
-        )
-
-    def _leak_iswap_ix(self, ix_d, ix_a) -> None:
-        """DQLR LeakageISWAP: move data-qubit leakage onto reset parity qubits."""
-        leaked_d = self.leaked[ix_d]
-        if leaked_d.size == 0:
-            return
-        leaked_a = self.leaked[ix_a]
-        # Gate infidelity comparable to a CX: two-qubit depolarising noise on
-        # pairs where both operands are in the computational basis.
-        both_ok = ~leaked_d & ~leaked_a
-        self._depolarize2_masked(ix_d, ix_a, both_ok, self.noise.p_gate2)
-        # Leakage moves from the data qubit to the parity qubit.
-        move = leaked_d & ~leaked_a
-        if move.any():
-            self.leaked[ix_a] |= move
-            self._return_to_computational_masked(ix_d, move)
-        # Failure mode: if the preceding parity reset failed (parity in |1>),
-        # the LeakageISWAP can excite the data qubit to |L> (|11> <-> |20>).
-        reset_failed = self.x[ix_a] & ~self.leaked[ix_a] & ~self.leaked[ix_d]
-        if reset_failed.any():
-            excite = (
-                self._bernoulli(self.leakage.dqlr_reset_excitation, reset_failed.shape)
-                & reset_failed
-            )
-            self.leaked[ix_d] |= excite
-        # Operation-induced leakage, as for any two-qubit gate.
-        self._inject_leakage_masked(ix_d, None, self.leakage.p_leak_gate)
-        self._inject_leakage_masked(ix_a, None, self.leakage.p_leak_gate)
+"""Old import path of the packed engine (the paper's Section 5 Monte-Carlo), kept only because ``perfbench/tracing.py`` imports it; the next change to the benchmark deletes it."""
+from repro.sim.packed_frame_simulator import BatchedMeasurementRecord  # noqa: F401
+from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator as BatchedLeakageFrameSimulator  # noqa: F401

@@ -301,7 +301,7 @@ class LeakageFrameSimulator:
         """Measure the given qubits in the Z basis.
 
         Error-application order (pinned by ``tests/test_frame_simulator.py``;
-        the batched engine must match it exactly):
+        the packed engine must match it exactly):
 
         1. the raw bit is the X-frame flip relative to the reference;
         2. the classical measurement error flips it with ``p_measure``;

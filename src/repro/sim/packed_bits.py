@@ -13,7 +13,7 @@ holds the supporting primitives:
   fair bits per word, for the probability-1/2 draws (random Pauli frames,
   leaked-measurement outcomes);
 * :func:`sample_cells` — the sparse Bernoulli sampler: instead of drawing a
-  float per (shot, qubit) cell as the batched engine does, draw the *count*
+  float per (shot, qubit) cell, draw the *count*
   of hits from the exact binomial and place them on a uniformly random
   distinct cell subset.  Per-qubit rate arrays are honoured by sampling at
   the maximum rate and thinning, which keeps the per-cell distribution
@@ -22,7 +22,7 @@ holds the supporting primitives:
 
 Every sampler here is distribution-exact: cells are hit independently with
 their stated probabilities, which is what the statistical-equivalence
-contract between the three engines rests on.
+contract between the two engines rests on.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Bit-packed (64 shots per word) Pauli-frame simulator with leakage tracking.
 
-The third Monte-Carlo engine behind the paper's Section 5 evaluation
-sweeps, built for the 10k+ shot runs where the ERASER paper's own
-methodology (10M-100M shots per configuration) is approached.  The
-batched engine carries frames as
-``(shots, num_qubits)`` boolean arrays and draws one float per (shot, qubit)
-cell for every noise channel, so its cost scales with ``shots`` even though
-almost every draw is a miss at circuit-level rates.  This engine packs the
-same three planes — X frame, Z frame, leakage flag — into
+The vectorised Monte-Carlo engine behind the paper's Section 5 evaluation
+sweeps; the scalar :class:`~repro.sim.frame_simulator.LeakageFrameSimulator`
+stays as the one-shot reference oracle.  Drawing one float per (shot, qubit)
+cell for every noise channel would make the cost scale with ``shots`` even
+though almost every draw is a miss at circuit-level rates.  This engine
+instead packs the three planes — X frame, Z frame, leakage flag — into
 ``(ceil(shots / 64), num_qubits)`` uint64 words (stim-style: shot ``s`` is
 bit ``s & 63`` of word row ``s >> 6``) and implements every circuit
 operation as word-wide XOR/AND kernels:
@@ -25,36 +23,36 @@ operation as word-wide XOR/AND kernels:
   64 fair bits per draw.
 
 Frames stay packed across the whole round; the engine unpacks only at the
-syndrome-extraction boundary, where measurement records, leakage-population
-fractions, and ground-truth leakage cross into the (unpacked) decoder and
-policy layers.  The public API mirrors
-:class:`~repro.sim.batched_frame_simulator.BatchedLeakageFrameSimulator`
-(including the ``*_instances`` methods the harness drives per-shot LRC tails
-through), and records are returned as the same
-:class:`~repro.sim.batched_frame_simulator.BatchedMeasurementRecord` type.
+syndrome-extraction boundary, where measurement records
+(:class:`BatchedMeasurementRecord`), leakage-population fractions, and
+ground-truth leakage cross into the (unpacked) decoder and policy layers.
+Adaptive LRC policies give different shots different schedules within one
+round; the ``*_instances`` methods act on *pair instances* — parallel 1-D
+arrays ``(shot, data qubit, ancilla)``, one entry per scheduled LRC in the
+whole batch — so those per-shot tails stay word-parallel too.
 
 Statistical contract
 --------------------
-As with scalar-vs-batched, the packed engine draws its random numbers in a
-different order (and through different samplers) than the other two, so
-per-shot outcomes differ bit-for-bit under a shared seed.  Every error
-mechanism still fires independently per cell with the same probability,
-conditioned on the same per-qubit state, in the same operation order, so all
-observable distributions are identical; noise-free circuits produce exactly
-equal output on all three engines.  ``tests/test_batched_equivalence.py``
-and ``tests/test_packed_simulator.py`` enforce the contract.
+The packed engine draws its random numbers in a different order (and
+through different samplers) than the scalar engine, so per-shot outcomes
+differ bit-for-bit under a shared seed.  Every error mechanism still fires
+independently per cell with the same probability, conditioned on the same
+per-qubit state, in the same operation order, so all observable
+distributions are identical; noise-free circuits produce exactly equal
+output on both engines.  ``tests/test_batched_equivalence.py`` and
+``tests/test_packed_simulator.py`` enforce the contract.
 
 Per-qubit :class:`~repro.noise.profiles.QubitNoise` arrays broadcast into
 the packed kernels by thinning: sparse sampling runs at the per-channel
 maximum rate and keeps each hit with probability ``rate[qubit] / max_rate``,
 which is exact per cell.  Degenerate arrays (all qubits equal) collapse to
 the scalar path at construction time, so they consume the identical random
-stream as a plain ``NoiseParams`` — the same bit-identity guarantee the
-other engines make.
+stream as a plain ``NoiseParams``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,7 +60,6 @@ import numpy as np
 from repro.noise.leakage import LeakageModel, LeakageTransportModel
 from repro.noise.model import NoiseParams
 from repro.noise.profiles import QubitNoise, channel_active, draw_pauli_codes
-from repro.sim.batched_frame_simulator import BatchedMeasurementRecord
 from repro.sim.circuit import (
     Cnot,
     Hadamard,
@@ -88,6 +85,29 @@ from repro.sim.rng import RngLike, make_rng
 _ZERO = np.uint64(0)
 
 
+@dataclass
+class BatchedMeasurementRecord:
+    """Result of one measurement operation across every shot in the batch.
+
+    Attributes:
+        qubits: Physical qubit indices that were measured, in order.
+        bits: ``(shots, len(qubits))`` measured bits (flips relative to the
+            noiseless reference).
+        labels: ``(shots, len(qubits))`` multi-level discriminator labels
+            (0, 1, or 2 == |L>), including classification error.
+        true_leaked: ``(shots, len(qubits))`` ground-truth leakage status at
+            measurement time.
+        meta: Arbitrary metadata attached by the schedule generator (typically
+            the stabilizer indices measured by these qubits).
+    """
+
+    qubits: np.ndarray
+    bits: np.ndarray
+    labels: np.ndarray
+    true_leaked: np.ndarray
+    meta: tuple
+
+
 def _flag_masks(masks: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Single-bit masks where ``flags`` is set, zero words elsewhere."""
     return np.where(flags, masks, _ZERO)
@@ -101,9 +121,9 @@ def _pauli_flips(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class PackedLeakageFrameSimulator:
     """Pauli-frame + leakage simulator over bit-packed multi-shot planes.
 
-    Semantically equivalent to ``shots`` independent scalar simulators (and
-    to the batched engine); see the module docstring for the packing layout
-    and the statistical contract.
+    Semantically equivalent to ``shots`` independent scalar simulators; see
+    the module docstring for the packing layout and the statistical
+    contract.
 
     Args:
         num_qubits: Total number of physical qubits per shot.
@@ -178,7 +198,7 @@ class PackedLeakageFrameSimulator:
         return p
 
     # ------------------------------------------------------------------
-    # Public API (mirrors BatchedLeakageFrameSimulator)
+    # Public API
     # ------------------------------------------------------------------
     def run(
         self,
@@ -256,8 +276,7 @@ class PackedLeakageFrameSimulator:
         in the instance set, a ``(words, n_pairs)`` activity plane whose
         column ``j`` has the shot bits scheduling pair ``j``, and the local
         pair index of each instance.  This turns a batch of scattered
-        per-shot instances into masked word-parallel column kernels — the
-        packed analogue of the batched engine's instance execution.  The
+        per-shot instances into masked word-parallel column kernels.  The
         ``*_unique`` flags report whether a qubit appears in more than one
         distinct pair (shots partition between them), which forces
         unbuffered scatter in the column kernels.
@@ -310,11 +329,12 @@ class PackedLeakageFrameSimulator:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """SWAP-LRC tail on pair instances; returns 1-D (bits, labels, leaked).
 
-        Same semantics as the batched engine: measure the data-side qubit
-        (holding the parity outcome), reset it, swap the parked data state
-        back — unless ``adaptive_multilevel`` is set and the measurement
-        reported |L>, in which case the swap-back is squashed and the parity
-        qubit is reset instead (ERASER+M, Section 4.6.2).
+        Semantics mirror :class:`~repro.sim.circuit.LrcFinalize`: measure
+        the data-side qubit (holding the parity outcome), reset it, swap the
+        parked data state back — unless ``adaptive_multilevel`` is set and
+        the measurement reported |L>, in which case the swap-back is
+        squashed and the parity qubit is reset instead (ERASER+M, Section
+        4.6.2).
         """
         shot_idx = np.asarray(shot_idx, dtype=np.int64)
         wrows, masks = bit_positions(shot_idx)
@@ -384,8 +404,10 @@ class PackedLeakageFrameSimulator:
     ) -> BatchedMeasurementRecord:
         """Measure-and-reset the given qubits only where ``active`` is set.
 
-        As in the batched engine, record cells where ``active`` is False
-        carry draws but no state was touched there; the harness overwrites
+        Used by the harness to measure each shot's *main* parity qubits
+        while leaving the per-shot LRC'd ancillas (which hold parked data
+        states) untouched; record cells where ``active`` is False carry
+        draws but no state was touched there, and the harness overwrites
         them with the per-shot LRC measurement results.
         """
         qubits = np.asarray(qubits, dtype=np.int64)

@@ -1,11 +1,11 @@
-"""Statistical equivalence of the packed, batched, and scalar engines.
+"""Statistical equivalence of the packed and scalar engines.
 
-Each engine draws random numbers in a different order (and the packed engine
-also draws different *amounts* via sparse binomial sampling), so a shared
-seed gives bitwise-different shots; what must match is the *distribution* of
-every aggregate observable.  This suite enforces that contract for every
-policy x protocol x leakage-transport combination, with the scalar engine as
-the reference each vectorised engine is compared against:
+The two engines draw random numbers in a different order (and the packed
+engine also draws different *amounts* via sparse binomial sampling), so a
+shared seed gives bitwise-different shots; what must match is the
+*distribution* of every aggregate observable.  This suite enforces that
+contract for every policy x protocol x leakage-transport combination, with
+the scalar engine as the reference the packed engine is compared against:
 
 * logical error rates agree under a two-proportion z-test,
 * leakage population ratios (total and per-partition) agree within loose
@@ -32,14 +32,10 @@ from repro.experiments.memory import MemoryExperiment
 from repro.noise.leakage import LeakageModel, LeakageTransportModel
 from repro.noise.model import NoiseParams
 from repro.noise.profiles import NoiseProfile
-from repro.sim.batched_frame_simulator import BatchedLeakageFrameSimulator
 from repro.sim.circuit import Cnot, Hadamard, Measure, MeasureReset
 from repro.sim.frame_simulator import LeakageFrameSimulator
 from repro.sim.packed_bits import unpack_words
 from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
-
-#: The vectorised engines, each held to the scalar reference's statistics.
-VECTOR_ENGINES = ("batched", "packed")
 
 #: Physical error rate boosted above the paper's default so that leakage,
 #: LRC scheduling, and decoding all see plenty of events at small shot counts.
@@ -137,26 +133,25 @@ def check_combo(name, policy_factory, protocol, transport, static, shots, seed,
         policy_factory(), protocol, transport, "scalar", shots, seed, decode
     )
     assert scalar.metadata["engine"] == "scalar"
-    for engine in VECTOR_ENGINES:
-        other = run_experiment(
-            policy_factory(), protocol, transport, engine, shots, seed, decode
+    packed = run_experiment(
+        policy_factory(), protocol, transport, "packed", shots, seed, decode
+    )
+    assert packed.metadata["engine"] == "packed"
+    if decode:
+        z = two_proportion_z(scalar.logical_errors, packed.logical_errors, shots)
+        assert abs(z) < z_bound, (
+            f"{name}: LER diverged, scalar={scalar.logical_error_rate:.4f} "
+            f"packed={packed.logical_error_rate:.4f} z={z:+.2f}"
         )
-        assert other.metadata["engine"] == engine
-        if decode:
-            z = two_proportion_z(scalar.logical_errors, other.logical_errors, shots)
-            assert abs(z) < z_bound, (
-                f"{name}: LER diverged, scalar={scalar.logical_error_rate:.4f} "
-                f"{engine}={other.logical_error_rate:.4f} z={z:+.2f}"
-            )
-        assert_lpr_close(scalar, other, rel=lpr_rel)
-        if static:
-            # Static schedules do not depend on the noise stream at all.
-            assert scalar.lrcs_per_round == other.lrcs_per_round
-        else:
-            a, b = scalar.lrcs_per_round, other.lrcs_per_round
-            assert abs(a - b) <= lrc_rel * max(a, b) + 0.05, (
-                f"{name}: LRC rate diverged, scalar={a:.3f} {engine}={b:.3f}"
-            )
+    assert_lpr_close(scalar, packed, rel=lpr_rel)
+    if static:
+        # Static schedules do not depend on the noise stream at all.
+        assert scalar.lrcs_per_round == packed.lrcs_per_round
+    else:
+        a, b = scalar.lrcs_per_round, packed.lrcs_per_round
+        assert abs(a - b) <= lrc_rel * max(a, b) + 0.05, (
+            f"{name}: LRC rate diverged, scalar={a:.3f} packed={b:.3f}"
+        )
 
 
 class TestCheapTier:
@@ -246,15 +241,14 @@ class TestScenarioDiversityTier:
     def test_lpr_and_lrc_statistics_match(self, name, policy, code_family, profile):
         scalar = self._run("scalar", policy, code_family, profile, 300, 20240902, False)
         assert scalar.metadata["engine"] == "scalar"
-        for engine in VECTOR_ENGINES:
-            other = self._run(engine, policy, code_family, profile, 300, 20240902, False)
-            assert other.metadata["engine"] == engine
-            assert_lpr_close(scalar, other, rel=0.5)
-            if policy == "always-lrc":
-                assert scalar.lrcs_per_round == other.lrcs_per_round
-            else:
-                a, b = scalar.lrcs_per_round, other.lrcs_per_round
-                assert abs(a - b) <= 0.35 * max(a, b) + 0.05
+        packed = self._run("packed", policy, code_family, profile, 300, 20240902, False)
+        assert packed.metadata["engine"] == "packed"
+        assert_lpr_close(scalar, packed, rel=0.5)
+        if policy == "always-lrc":
+            assert scalar.lrcs_per_round == packed.lrcs_per_round
+        else:
+            a, b = scalar.lrcs_per_round, packed.lrcs_per_round
+            assert abs(a - b) <= 0.35 * max(a, b) + 0.05
 
     @pytest.mark.parametrize(
         "name,policy,code_family,profile",
@@ -263,15 +257,14 @@ class TestScenarioDiversityTier:
     )
     def test_ler_matches(self, name, policy, code_family, profile):
         scalar = self._run("scalar", policy, code_family, profile, 400, 20240903, True)
-        for engine in VECTOR_ENGINES:
-            other = self._run(engine, policy, code_family, profile, 400, 20240903, True)
-            z = two_proportion_z(scalar.logical_errors, other.logical_errors, 400)
-            assert abs(z) < 4.5, (
-                f"{name}: LER diverged, scalar={scalar.logical_error_rate:.4f} "
-                f"{engine}={other.logical_error_rate:.4f} z={z:+.2f}"
-            )
+        packed = self._run("packed", policy, code_family, profile, 400, 20240903, True)
+        z = two_proportion_z(scalar.logical_errors, packed.logical_errors, 400)
+        assert abs(z) < 4.5, (
+            f"{name}: LER diverged, scalar={scalar.logical_error_rate:.4f} "
+            f"packed={packed.logical_error_rate:.4f} z={z:+.2f}"
+        )
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed"])
+    @pytest.mark.parametrize("engine", ["scalar", "packed"])
     def test_uniform_profile_is_bit_identical_to_noise_params(self, engine):
         """The degenerate profile must reproduce the profile-less run exactly."""
         plain = run_experiment(
@@ -302,15 +295,11 @@ class TestDeterministicPaths:
         scalar = LeakageFrameSimulator(
             num_qubits, NoiseParams.noiseless(), LeakageModel.disabled(), rng=1
         )
-        batched = BatchedLeakageFrameSimulator(
-            num_qubits, NoiseParams.noiseless(), LeakageModel.disabled(),
-            shots=shots, rng=1,
-        )
         packed = PackedLeakageFrameSimulator(
             num_qubits, NoiseParams.noiseless(), LeakageModel.disabled(),
             shots=shots, rng=1,
         )
-        return scalar, batched, packed
+        return scalar, packed
 
     def test_noiseless_circuit_bits_identical(self):
         ops = [
@@ -320,40 +309,32 @@ class TestDeterministicPaths:
             MeasureReset([3], "ancilla"),
             Measure([0, 1, 2, 4], "data"),
         ]
-        scalar, batched, packed = self._noiseless_simulators()
+        scalar, packed = self._noiseless_simulators()
         scalar_records = scalar.run(ops)
-        for sim in (batched, packed):
-            records = sim.run(ops)
-            assert set(scalar_records) == set(records)
-            for key, scalar_record in scalar_records.items():
-                record = records[key]
-                np.testing.assert_array_equal(record.qubits, scalar_record.qubits)
-                for shot in range(sim.shots):
-                    np.testing.assert_array_equal(
-                        record.bits[shot], scalar_record.bits
-                    )
-                    np.testing.assert_array_equal(
-                        record.labels[shot], scalar_record.labels
-                    )
-            assert not sim.leaked.any()
+        records = packed.run(ops)
+        assert set(scalar_records) == set(records)
+        for key, scalar_record in scalar_records.items():
+            record = records[key]
+            np.testing.assert_array_equal(record.qubits, scalar_record.qubits)
+            for shot in range(packed.shots):
+                np.testing.assert_array_equal(record.bits[shot], scalar_record.bits)
+                np.testing.assert_array_equal(record.labels[shot], scalar_record.labels)
+        assert not packed.leaked.any()
         assert not scalar.leaked.any()
 
     def test_noiseless_frame_state_identical(self):
         ops = [Cnot([0, 2], [1, 3]), Hadamard([0]), Cnot([1], [2])]
-        scalar, batched, packed = self._noiseless_simulators()
+        scalar, packed = self._noiseless_simulators()
         scalar.run(ops)
-        batched.run(ops)
         packed.run(ops)
         packed_x = unpack_words(packed.x, packed.shots)
         packed_z = unpack_words(packed.z, packed.shots)
-        for shot in range(batched.shots):
-            np.testing.assert_array_equal(batched.x[shot], scalar.x)
-            np.testing.assert_array_equal(batched.z[shot], scalar.z)
+        for shot in range(packed.shots):
             np.testing.assert_array_equal(packed_x[shot], scalar.x)
             np.testing.assert_array_equal(packed_z[shot], scalar.z)
 
     def test_noiseless_experiment_has_no_errors_on_either_engine(self):
-        for engine in ("scalar", "batched", "packed"):
+        for engine in ("scalar", "packed"):
             result = MemoryExperiment(
                 distance=3,
                 policy=make_policy("always-lrc"),
@@ -372,7 +353,7 @@ class TestDeterministicPaths:
 class TestSharedSeedProtocol:
     """Each engine must be exactly reproducible under a shared seed."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed"])
+    @pytest.mark.parametrize("engine", ["scalar", "packed"])
     def test_same_seed_reproduces_everything(self, engine):
         def once():
             result = run_experiment(
@@ -390,7 +371,7 @@ class TestSharedSeedProtocol:
 
         assert once() == once()
 
-    @pytest.mark.parametrize("engine", ["batched", "packed"])
+    @pytest.mark.parametrize("engine", ["packed"])
     def test_batch_size_does_not_change_distribution(self, engine):
         """Chunking into smaller batches must not shift aggregate statistics."""
         results = {}

@@ -30,6 +30,15 @@ class TestParser:
         assert args.resume is True
         assert args.chunk_shots == 64
 
+    def test_engine_choices_default_to_packed(self, capsys):
+        assert build_parser().parse_args(["ler"]).engine == "packed"
+        args = build_parser().parse_args(["ler", "--engine", "scalar"])
+        assert args.engine == "scalar"
+        for retired in ("auto", "batched"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["ler", "--engine", retired])
+        assert "{scalar,packed}" in capsys.readouterr().err
+
     def test_experiments_run_defaults(self):
         args = build_parser().parse_args(["experiments", "run", "fig14"])
         assert args.action == "run"

@@ -15,8 +15,9 @@ from repro.sim.circuit import (
     Reset,
     RoundNoise,
 )
-from repro.sim.batched_frame_simulator import BatchedLeakageFrameSimulator
 from repro.sim.frame_simulator import LABEL_LEAKED, LeakageFrameSimulator
+from repro.sim.packed_bits import pack_bool
+from repro.sim.packed_frame_simulator import PackedLeakageFrameSimulator
 
 
 def make_sim(num_qubits=4, p=0.0, leakage=None, seed=0, **noise_overrides):
@@ -168,7 +169,7 @@ class TestMeasureErrorOrder:
     The documented contract (see ``LeakageFrameSimulator._measure``): the
     classical ``p_measure`` flip is applied first and the uniformly random
     leaked-qubit outcome then *overwrites* it — the classical flip is not
-    re-applied on top.  The batched engine must implement the same order, so
+    re-applied on top.  The packed engine must implement the same order, so
     the identical assertions run against both.
     """
 
@@ -230,13 +231,15 @@ class TestMeasureErrorOrder:
                 f"p_measure flip (={flip}) must not be re-applied"
             )
 
-    def test_batched_engine_pins_the_same_order(self):
+    def test_packed_engine_pins_the_same_order(self):
         noise = NoiseParams.noiseless().with_overrides(p_measure=1.0)
         shots = 400
-        sim = BatchedLeakageFrameSimulator(
+        sim = PackedLeakageFrameSimulator(
             2, noise, LeakageModel.disabled(), shots=shots, rng=17
         )
-        sim.leaked[:, 1] = True
+        leaked = np.zeros((shots, 2), dtype=bool)
+        leaked[:, 1] = True
+        sim.leaked[:] = pack_bool(leaked)
         record = sim.run([Measure([0, 1], key="m")])["m"]
         # Unleaked qubit 0: the certain classical flip applies to every shot.
         assert (record.bits[:, 0] == 1).all()

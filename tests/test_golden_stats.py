@@ -29,8 +29,6 @@ SHOTS = 80
 GOLDEN = {
     ("scalar", "eraser"): (2, 0.0009803922, 0.0013888889, 0.0005208333, 0.1625),
     ("scalar", "always-lrc"): (6, 0.0007352941, 0.0004629630, 0.0010416667, 4.3333333333),
-    ("batched", "eraser"): (2, 0.0007352941, 0.0011574074, 0.0002604167, 0.1854166667),
-    ("batched", "always-lrc"): (3, 0.0018382353, 0.0016203704, 0.0020833333, 4.3333333333),
     ("packed", "eraser"): (1, 0.0006127451, 0.0011574074, 0.0000000000, 0.1479166667),
     ("packed", "always-lrc"): (7, 0.0013480392, 0.0011574074, 0.0015625000, 4.3333333333),
 }
@@ -78,9 +76,6 @@ SCENARIOS = {
 
 #: (engine, scenario) -> (logical errors, mean LPR total/data/parity, LRCs/round).
 GOLDEN_SCENARIOS = {
-    ("batched", "biased"): (3, 0.0000000000, 0.0000000000, 0.0000000000, 0.1625000000),
-    ("batched", "heterogeneous"): (1, 0.0001225490, 0.0002314815, 0.0000000000, 0.1687500000),
-    ("batched", "repetition"): (0, 0.0000000000, 0.0000000000, 0.0000000000, 0.0270833333),
     ("packed", "biased"): (0, 0.0004901961, 0.0009259259, 0.0000000000, 0.1458333333),
     ("packed", "heterogeneous"): (1, 0.0022058824, 0.0034722222, 0.0007812500, 0.2020833333),
     ("packed", "repetition"): (0, 0.0020833333, 0.0034722222, 0.0000000000, 0.0416666667),
@@ -130,8 +125,8 @@ def test_golden_run_is_process_independent():
     and every seeded statistic downstream of it — varied from process to
     process.  A within-process rerun must also be exactly stable.
     """
-    a = run_golden("batched", "eraser")
-    b = run_golden("batched", "eraser")
+    a = run_golden("packed", "eraser")
+    b = run_golden("packed", "eraser")
     assert a.logical_errors == b.logical_errors
     np.testing.assert_array_equal(a.lpr_total, b.lpr_total)
     assert a.lrcs_per_round == b.lrcs_per_round

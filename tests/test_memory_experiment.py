@@ -77,8 +77,22 @@ class TestConstruction:
         experiment = MemoryExperiment(code=code, policy=make_policy("no-lrc"), cycles=1)
         assert experiment.noise.p == pytest.approx(1e-3)
         assert experiment.leakage.p_leak_round == pytest.approx(1e-4)
+        assert experiment.engine == "packed"
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "packed", "auto"])
+    @pytest.mark.parametrize("engine", ["auto", "batched"])
+    def test_rejects_retired_engine_names(self, code, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            MemoryExperiment(code=code, policy=make_policy("no-lrc"), cycles=1, engine=engine)
+
+    def test_policy_without_batch_decisions_names_the_scalar_engine(self, code):
+        policy = make_policy("no-lrc")
+        policy.supports_batch = False
+        with pytest.raises(ValueError, match='engine="scalar"'):
+            MemoryExperiment(code=code, policy=policy, cycles=1)
+        experiment = MemoryExperiment(code=code, policy=policy, cycles=1, engine="scalar", seed=3)
+        assert experiment.run(4).metadata["engine"] == "scalar"
+
+    @pytest.mark.parametrize("engine", ["scalar", "packed"])
     def test_accepts_policy_by_name(self, code, engine):
         """String policies resolve through the registry instead of crashing."""
         experiment = MemoryExperiment(
@@ -101,7 +115,7 @@ class TestConstruction:
             leakage=LeakageModel.standard(1e-3),
             cycles=1,
             seed=99,
-            engine="batched",
+            engine="packed",
         )
         by_name = MemoryExperiment(policy="always-lrc", **kwargs).run(16)
         by_instance = MemoryExperiment(policy=make_policy("always-lrc"), **kwargs).run(16)

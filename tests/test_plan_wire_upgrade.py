@@ -1,11 +1,12 @@
 """Plan wire forms written before decoder tuning and stopping targets left the job.
 
 Such a payload put ``decoder_dp_threshold``, ``decoder_cache_size``,
-``decoder_artifact_dir`` and the three stopping-target keys on every job.
+``decoder_artifact_dir`` and the three stopping-target keys on every job,
+and named an engine that no longer exists (``"auto"`` or ``"batched"``).
 The sweep service journals submissions in that form, so a journal written
 before the upgrade must still replay: the decoder keys are dropped, uniform
-targets become the plan's stopping rule, and a record whose decode jobs
-disagree is refused rather than guessed at.
+targets become the plan's stopping rule, the engine becomes ``"packed"``,
+and a record whose decode jobs disagree is refused rather than guessed at.
 """
 
 import asyncio
@@ -70,10 +71,20 @@ LEGACY_PAYLOAD = {
     ]
 }
 
-#: What the older code computed for :data:`LEGACY_PAYLOAD`: the decode job
-#: stopped after two 50-shot chunks with 23 logical errors.
+#: What :data:`LEGACY_PAYLOAD` computes, replayed on the packed engine: the
+#: decode job stops after two 50-shot chunks with 26 logical errors.
 LEGACY_STOP_SHOTS = 100
-LEGACY_STOP_ERRORS = 23
+LEGACY_STOP_ERRORS = 26
+
+#: Engine names the older code wrote; both replay on the packed engine.
+LEGACY_ENGINES = ("auto", "batched")
+
+
+def legacy_payload(engine):
+    payload = copy.deepcopy(LEGACY_PAYLOAD)
+    for job in payload["jobs"]:
+        job["engine"] = engine
+    return payload
 
 
 def fresh_plan():
@@ -95,20 +106,22 @@ class TestPlanWire:
         assert set(fresh_plan().to_wire()) == {"jobs"}
 
     def test_legacy_payload_lifts_uniform_targets(self):
-        plan = SweepPlan.from_wire(copy.deepcopy(LEGACY_PAYLOAD))
-        assert plan.adaptive == AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2)
-        assert plan.jobs == fresh_plan().jobs
+        for engine in LEGACY_ENGINES:
+            plan = SweepPlan.from_wire(legacy_payload(engine))
+            assert plan.adaptive == AdaptiveConfig(target_ci_halfwidth=0.2, min_chunks=2)
+            assert plan.jobs == fresh_plan().jobs
 
     def test_legacy_payload_stops_where_it_used_to(self):
-        executor = SweepExecutor()
-        decoded, undecoded = executor.run(SweepPlan.from_wire(copy.deepcopy(LEGACY_PAYLOAD)))
-        assert (decoded.shots, decoded.logical_errors) == (
-            LEGACY_STOP_SHOTS,
-            LEGACY_STOP_ERRORS,
-        )
-        assert undecoded.shots == 100
-        assert executor.last_stats.jobs_stopped_early == 1
-        assert executor.last_stats.shots_saved == 300
+        for engine in LEGACY_ENGINES:
+            executor = SweepExecutor()
+            decoded, undecoded = executor.run(SweepPlan.from_wire(legacy_payload(engine)))
+            assert (decoded.shots, decoded.logical_errors) == (
+                LEGACY_STOP_SHOTS,
+                LEGACY_STOP_ERRORS,
+            )
+            assert undecoded.shots == 100
+            assert executor.last_stats.jobs_stopped_early == 1
+            assert executor.last_stats.shots_saved == 300
 
     def test_differing_legacy_targets_are_rejected(self):
         payload = copy.deepcopy(LEGACY_PAYLOAD)

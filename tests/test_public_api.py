@@ -45,6 +45,25 @@ class TestPublicApi:
     def test_subpackages_import(self, module):
         assert importlib.import_module(module) is not None
 
+    def test_sim_exports_one_vectorised_engine(self):
+        import repro.sim
+
+        for name in repro.sim.__all__:
+            assert hasattr(repro.sim, name), f"repro.sim.{name} missing"
+        engines = [name for name in repro.sim.__all__ if name.endswith("FrameSimulator")]
+        assert engines == ["LeakageFrameSimulator", "PackedLeakageFrameSimulator"]
+
+    def test_nothing_imports_the_retired_engine_module(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        retired = "batched" + "_frame_simulator"
+        importers = [
+            str(path.relative_to(root))
+            for folder in ("src", "tests")
+            for path in (root / folder).rglob("*.py")
+            if retired in path.read_text(encoding="utf-8")
+        ]
+        assert importers == []
+
     def test_make_policy_accessible_from_top_level(self):
         policy = repro.make_policy("eraser")
         assert policy.name == "eraser"

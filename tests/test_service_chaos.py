@@ -123,7 +123,11 @@ class TestChaosProxy:
                     # into a duplicate sweep.
                     proxy.inject("drop-response", 1)
                     t = asyncio.to_thread
+                    started = time.monotonic()
                     job_id = await t(client.submit, make_plan(shots=200))
+                    # The lost response costs one short control timeout,
+                    # not the client's full socket timeout.
+                    assert time.monotonic() - started < 10
                     assert proxy.faults_injected == 1
                     # The retried submit deduped onto the first acceptance.
                     assert len(scheduler.list_submissions()) == 1

@@ -32,7 +32,7 @@ def make_result(**overrides):
         lpr_parity=np.linspace(0.0, 5e-4, 6),
         lrcs_per_round=0.25,
         speculation=SpeculationCounts(3, 7, 200, 5),
-        metadata={"protocol": "swap", "engine": "batched", "leakage_enabled": True},
+        metadata={"protocol": "swap", "engine": "packed", "leakage_enabled": True},
     )
     fields.update(overrides)
     return MemoryExperimentResult(**fields)
