@@ -1,23 +1,27 @@
-"""Decoder fast-path benchmark: layered dispatch vs the pre-PR decoder.
+"""Decoder fast-path benchmark: layered dispatch vs the seed decoder.
 
 Times the full syndrome->correction pipeline on fig14-style workloads
-(ERASER policy, p=1e-3, ``cycles * distance`` rounds) at d=3/5/7 and
-compares the layered fast path (frame-parity tables, syndrome dedup + LRU,
-native blossom port — see ``docs/ARCHITECTURE.md``) against the
-seed implementation preserved in :mod:`repro.decoder.reference`.  Reported
-per distance:
+(ERASER policy, p=1e-3, ``cycles * distance`` rounds, packed engine) at
+d=3/5/7 and compares the layered fast path (frame-parity tables, syndrome
+dedup + LRU, cluster-split exact matching — see ``docs/ARCHITECTURE.md``)
+against the seed implementation preserved in :mod:`repro.decoder.reference`.
+Reported per distance:
 
 * decode throughput (shots/s) for both pipelines and the speedup,
 * per-stage timings: detector construction, frame-parity table build
   (one-off per graph), and the matching tail,
-* fast-path dispatch counters: dedup/LRU hit rates and how many syndromes
-  each matching engine (blossom / greedy) served.
+* fast-path dispatch counters: dedup/LRU hit rates, how many syndromes
+  each matching engine (blossom / greedy) served, and the clusters the
+  exact tier split them into,
+* tie disagreements: shots whose logical-error outcome differs from the
+  seed decoder's because the two exact matchers picked different
+  matchings of equal weight.
 
 The numbers are written to ``BENCH_decoder.json`` at the repository root —
-the perf trajectory future decoder PRs regress against.  Corrections from
-both pipelines are asserted equal shot-for-shot before any timing is
-trusted (the exhaustive property tier lives in
-``tests/test_decoder_fastpath.py``).
+the perf trajectory future decoder PRs regress against.  Before any timing
+is trusted, every non-empty syndrome is checked: the exact tier's matching
+weight must equal the seed's, and greedy-tier outcomes must be identical
+(the exhaustive property tier lives in ``tests/test_decoder_fastpath.py``).
 
 Environment knobs (see ``conftest.py``): ``ERASER_REPRO_SHOTS`` (default
 200; the acceptance target is >= 3x at d=5 with 200 shots),
@@ -35,8 +39,12 @@ from conftest import emit
 
 from repro.core.policies import make_policy
 from repro.decoder.decoder import DecoderStats
-from repro.decoder.matching import _all_pairs, _frame_parity_rows
-from repro.decoder.reference import build_reference_matcher, reference_decode_batch
+from repro.decoder.matching import _all_pairs, _frame_parity_rows, _shortest_paths
+from repro.decoder.reference import (
+    _reference_shortest_paths,
+    build_reference_matcher,
+    reference_decode_batch,
+)
 from repro.experiments.memory import MemoryExperiment
 
 POLICY = "eraser"
@@ -78,6 +86,40 @@ def _workload(distance, shots, seed):
         np.concatenate(captured["h"]),
         np.concatenate(captured["f"]),
     )
+
+
+def _matching_weight(graph, nodes, pairs, to_boundary):
+    distances, _ = _all_pairs(graph)
+    boundary = graph.boundary_node
+    return sum(float(distances[nodes[i], nodes[j]]) for i, j in pairs) + sum(
+        float(distances[nodes[i], boundary]) for i in to_boundary
+    )
+
+
+def _tie_disagreements(decoder, reference, detectors, seed_errors, fast_errors):
+    """Check every syndrome; return how many outcomes differ on exact ties.
+
+    Exact-tier syndromes must get a matching of the seed's weight (the
+    outcome may differ only where both matchings are minimum-weight);
+    greedy-tier syndromes must get the seed's outcome.
+    """
+    graph = decoder.graph
+    exact = decoder._matcher._exact
+    seed_exact = reference._exact
+    ties = 0
+    for shot in np.flatnonzero(detectors.any(axis=(1, 2))):
+        nodes = graph.detector_nodes(detectors[shot])
+        differs = bool(seed_errors[shot] != fast_errors[shot])
+        if nodes.size > decoder.exact_threshold:
+            assert not differs, f"greedy tier diverged on shot {shot}"
+            continue
+        fast = exact._match(_shortest_paths(graph, nodes))
+        seed = seed_exact._match(_reference_shortest_paths(graph, nodes))
+        assert _matching_weight(graph, nodes, *fast) == _matching_weight(
+            graph, nodes, *seed
+        ), f"exact tier lost minimum weight on shot {shot}"
+        ties += differs
+    return ties
 
 
 def _best_of(callable_, repeats=3):
@@ -138,18 +180,21 @@ def test_decoder_fastpath(shots, seed, max_distance):
             return decoder.decode_batch(histories, finals)
 
         t_fast, fast_errors = _best_of(fast_run)
-        np.testing.assert_array_equal(np.asarray(seed_errors), np.asarray(fast_errors))
+        ties = _tie_disagreements(
+            decoder, reference, detectors, np.asarray(seed_errors), np.asarray(fast_errors)
+        )
 
         # One clean cold pass for the dispatch statistics, then a warm rerun
         # where every repeated syndrome is served by the LRU.
         decoder.stats = DecoderStats()
         decoder._matcher.stats.clear()
+        decoder._matcher.cluster_stats.update(clusters=0, cluster_blossoms=0)
         decoder._correction_cache.clear()
         decoder.decode_batch(histories, finals)
         cold_stats = decoder.stats.as_dict()
         matcher_stats = dict(decoder._matcher.stats)
         t_warm, warm_errors = _best_of(lambda: decoder.decode_batch(histories, finals))
-        np.testing.assert_array_equal(np.asarray(seed_errors), np.asarray(warm_errors))
+        np.testing.assert_array_equal(np.asarray(fast_errors), np.asarray(warm_errors))
 
         t_seed = t_seed_tail + t_detectors
         stats = cold_stats
@@ -162,7 +207,7 @@ def test_decoder_fastpath(shots, seed, max_distance):
             f"d={distance}  rounds={experiment.rounds:3d}  "
             f"seed {t_seed * 1e3:8.1f} ms  fast {t_fast * 1e3:7.1f} ms  "
             f"warm {t_warm * 1e3:6.1f} ms  speedup {speedups[distance]:5.2f}x  "
-            f"dedup+LRU {100 * dedup_rate:4.1f}%"
+            f"dedup+LRU {100 * dedup_rate:4.1f}%  ties {ties}"
         )
         report["distances"][str(distance)] = {
             "rounds": experiment.rounds,
@@ -179,6 +224,7 @@ def test_decoder_fastpath(shots, seed, max_distance):
             "dedup_lru_hit_rate": dedup_rate,
             "decoder_stats": stats,
             "matcher_stats": matcher_stats,
+            "tie_disagreements": ties,
         }
 
     out_path = os.environ.get(

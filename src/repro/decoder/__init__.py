@@ -4,8 +4,9 @@ The paper decodes memory experiments with MWPM (Section 5.3).  This package
 provides a from-scratch implementation: a space-time decoding graph built from
 the code structure, exact shortest paths via scipy's Dijkstra with cached
 frame-parity tables, and a layered matching fast path — syndrome dedup + LRU,
-a native array-indexed blossom port (bit-identical to networkx), a
-vectorised greedy matcher, and a Union-Find decoder.  The seed implementation is preserved in
+exact matching split into boundary-separated clusters (each solved in
+closed form or by a native array-indexed blossom port), a vectorised greedy
+matcher, and a Union-Find decoder.  The seed implementation is preserved in
 :mod:`repro.decoder.reference` for equivalence testing and benchmarking.
 """
 
@@ -15,6 +16,7 @@ from repro.decoder.graph import (
     shared_decoding_graph,
 )
 from repro.decoder.matching import (
+    MATCHING_REVISION,
     AutoMatcher,
     GreedyMatcher,
     MwpmMatcher,
@@ -33,6 +35,7 @@ __all__ = [
     "DecodingGraph",
     "shared_decoding_graph",
     "clear_shared_graphs",
+    "MATCHING_REVISION",
     "AutoMatcher",
     "MwpmMatcher",
     "GreedyMatcher",

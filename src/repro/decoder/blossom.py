@@ -4,10 +4,9 @@ MWPM is the decoder the paper evaluates every policy with (Section 2.2
 background; the logical error rate of Equation (4) is computed from its
 corrections), which makes it the hottest serial code in the repository.
 
-This module is a faithful port of NetworkX's ``max_weight_matching`` /
-``min_weight_matching``
-(Galil's 1986 formulation of Edmonds' blossom + primal-dual method),
-specialised for the decoder's dense detector graphs:
+This module is a port of NetworkX's ``max_weight_matching`` /
+``min_weight_matching`` (Galil's 1986 formulation of Edmonds' blossom +
+primal-dual method), specialised for the decoder's dense detector graphs:
 
 * vertices are the integers ``0..n-1`` (the decoder already labels detectors
   and its virtual boundary with small ints), so every vertex-keyed dict of
@@ -16,19 +15,15 @@ specialised for the decoder's dense detector graphs:
   evaluation in the algorithm's hot inner loops is two list lookups instead
   of a chain of dict/attribute accesses through a ``networkx`` graph.
 
-The port preserves the original's *choices* exactly — vertex iteration
-order, per-vertex neighbor order, LIFO scan queue, dict insertion orders,
-first-wins tie-breaking on equal slack, and the returned edge orientations —
-so for any edge list it returns the **same set of matched pairs** that
-``networkx.min_weight_matching`` returns, only faster.  That bit-identical
-contract is what lets :class:`repro.decoder.matching.MwpmMatcher` swap it in
-without perturbing a single seeded statistic, and it is enforced against
-networkx directly by ``tests/test_decoder_fastpath.py``.
-
-The entry point is :func:`min_weight_matching_edges`, which mirrors
-``networkx.min_weight_matching``'s weight transformation (``w' = max_w + 1 -
-w`` then maximum-cardinality max-weight matching).  Edge weights are treated
-as floats throughout, matching how the decoder fed networkx.
+The entry point is :func:`min_weight_matching_complete`, which solves one
+complete graph: ``k`` detectors plus, for odd ``k``, one virtual boundary
+vertex.  :class:`repro.decoder.matching.MwpmMatcher` calls it once per
+cluster of three or more detectors.  The port keeps the original's vertex
+order, neighbor order and first-wins tie-breaking, so on the same complete
+graph it returns the same set of pairs as ``networkx.min_weight_matching``
+(``tests/test_decoder_fastpath.py`` checks this).  The decoder's contract is
+weaker: minimum weight, deterministically; which of several equal-weight
+matchings a syndrome gets depends on how it splits into clusters.
 """
 
 from __future__ import annotations
@@ -538,7 +533,9 @@ def max_weight_matching_dense(
             elif deltatype == 4:
                 expandBlossom(deltablossom, False)
 
-        if not augmented:
+        if not augmented or len(mate) == num_vertices:
+            # A perfect matching admits no augmenting path: the next stage
+            # would only adjust duals, never ``mate``.
             break
 
         for b in list(blossomdual.keys()):
@@ -548,55 +545,6 @@ def max_weight_matching_dense(
                 expandBlossom(b, True)
 
     return mate
-
-
-def min_weight_matching_edges(
-    edges: Sequence[Tuple[int, int, float]]
-) -> Set[Tuple[int, int]]:
-    """Minimum-weight maximum-cardinality matching of a weighted edge list.
-
-    ``edges`` must be listed in the order ``networkx.Graph.edges`` would
-    report them for the graph the caller had in mind (for the decoder's
-    construction: per detector ``i`` ascending, its pairs ``(i, j > i)``
-    followed by its boundary edge), because vertex numbering, adjacency
-    order and therefore tie-breaking all derive from it.  Node labels may be
-    any hashable ints (the decoder uses ``-1`` for the virtual boundary);
-    they are compacted to ``0..n-1`` internally and restored in the result.
-
-    Returns the same ``set`` of ``(u, v)`` tuples — orientations included —
-    that ``networkx.min_weight_matching`` returns on the equivalent graph.
-    """
-    if not edges:
-        return set()
-    max_weight = 1 + max(w for _, _, w in edges)
-
-    # Compact node labels in first-appearance order (networkx's node order).
-    index: Dict[int, int] = {}
-    for u, v, _ in edges:
-        if u not in index:
-            index[u] = len(index)
-        if v not in index:
-            index[v] = len(index)
-    n = len(index)
-    labels = list(index)
-
-    neighbors: List[List[int]] = [[] for _ in range(n)]
-    weight2: List[List[float]] = [[0.0] * n for _ in range(n)]
-    maxweight = 0
-    for u, v, w in edges:
-        iu = index[u]
-        iv = index[v]
-        iw = max_weight - w
-        if iw > maxweight:
-            maxweight = iw
-        neighbors[iu].append(iv)
-        neighbors[iv].append(iu)
-        doubled = 2 * iw
-        weight2[iu][iv] = doubled
-        weight2[iv][iu] = doubled
-
-    mate = max_weight_matching_dense(n, maxweight, neighbors, weight2)
-    return _mate_to_matching(mate, labels)
 
 
 def _mate_to_matching(mate: Dict[int, int], labels: List[int]) -> Set[Tuple[int, int]]:
@@ -610,26 +558,28 @@ def _mate_to_matching(mate: Dict[int, int], labels: List[int]) -> Set[Tuple[int,
     return matching
 
 
-#: Neighbor-list cache for :func:`min_weight_matching_complete`, keyed by
-#: (detector count, boundary present).  The lists replicate the adjacency
-#: insertion order of the seed's graph construction and are read-only to the
-#: matcher, so sharing them across calls is safe.
-_COMPLETE_NEIGHBORS: Dict[Tuple[int, bool], List[List[int]]] = {}
+#: Layout cache for :func:`min_weight_matching_complete`, keyed by (detector
+#: count, boundary present): the neighbor lists, which replicate the
+#: adjacency insertion order of the seed's graph construction, and the
+#: upper-triangle edge indices.  Both are read-only to the matcher, so
+#: sharing them across calls is safe.
+_COMPLETE_LAYOUT: Dict[Tuple[int, bool], Tuple[List[List[int]], Tuple[np.ndarray, ...]]] = {}
 
 
-def _complete_neighbors(k: int, with_boundary: bool) -> List[List[int]]:
+def _complete_layout(k: int, with_boundary: bool):
     key = (k, with_boundary)
-    cached = _COMPLETE_NEIGHBORS.get(key)
+    cached = _COMPLETE_LAYOUT.get(key)
     if cached is None:
-        cached = [
+        neighbors = [
             list(range(i)) + list(range(i + 1, k)) + ([k] if with_boundary else [])
             for i in range(k)
         ]
         if with_boundary:
-            cached.append(list(range(k)))
-        if len(_COMPLETE_NEIGHBORS) > 256:
-            _COMPLETE_NEIGHBORS.clear()
-        _COMPLETE_NEIGHBORS[key] = cached
+            neighbors.append(list(range(k)))
+        if len(_COMPLETE_LAYOUT) > 256:
+            _COMPLETE_LAYOUT.clear()
+        cached = (neighbors, np.triu_indices(len(neighbors), 1))
+        _COMPLETE_LAYOUT[key] = cached
     return cached
 
 
@@ -638,47 +588,38 @@ def min_weight_matching_complete(
     boundary_dist=None,
     boundary_label: int = -1,
 ) -> Set[Tuple[int, int]]:
-    """:func:`min_weight_matching_edges` specialised for the decoder's case.
+    """Minimum-weight perfect matching of ``k`` detectors (plus a boundary).
 
     ``pair_dist`` is the dense ``(k, k)`` matrix of finite pair distances
     (only the upper triangle is meaningful; the diagonal is ignored) and
     ``boundary_dist`` the length-``k`` boundary distances, or ``None`` when
-    ``k`` is even and the matching runs on the detectors alone.  Equivalent
-    to building the edge list in networkx report order and calling
-    :func:`min_weight_matching_edges`, but skips the per-edge Python loop:
-    the doubled-weight matrix comes from one vectorised numpy expression and
-    the neighbor lists are cached per (k, parity).
+    ``k`` is even and the matching runs on the detectors alone.  The edges
+    are laid out as networkx reports a graph built per detector ``i``
+    ascending — pairs ``(i, j > i)``, then ``(i, boundary_label)`` — and
+    weights go through networkx's transformation (``w' = max_w + 1 - w``,
+    then maximum-cardinality max-weight matching).  The doubled-weight
+    matrix comes from one vectorised numpy expression and the neighbor
+    lists and edge indices are cached per ``(k, parity)``.  Returns ``(u, v)`` tuples with
+    detectors labelled ``0..k-1``.
     """
     k = int(pair_dist.shape[0])
-    if k == 0:
-        return set()
     with_boundary = boundary_dist is not None
-    iu, ju = np.triu_indices(k, 1)
-    pair_weights = pair_dist[iu, ju]
-    if with_boundary:
-        all_weights = (
-            np.concatenate([pair_weights, boundary_dist])
-            if pair_weights.size
-            else np.asarray(boundary_dist)
-        )
-    else:
-        if not pair_weights.size:
-            return set()
-        all_weights = pair_weights
-    # networkx's min_weight_matching offset, then its max_weight_matching
-    # dual seed over the transformed weights.
-    max_weight = 1 + float(all_weights.max())
-    maxweight = max(0, max_weight - float(all_weights.min()))
-
     n = k + 1 if with_boundary else k
+    if n < 2:
+        return set()
     dist = np.empty((n, n), dtype=np.float64)
     dist[:k, :k] = pair_dist
     if with_boundary:
         dist[:k, k] = boundary_dist
         dist[k, :k] = boundary_dist
         dist[k, k] = 0.0
+    neighbors, upper = _complete_layout(k, with_boundary)
+    # networkx's min_weight_matching offset, then its max_weight_matching
+    # dual seed over the transformed weights.
+    weights = dist[upper]
+    max_weight = 1 + float(weights.max())
+    maxweight = max(0, max_weight - float(weights.min()))
     weight2 = (2.0 * (max_weight - dist)).tolist()
-    neighbors = _complete_neighbors(k, with_boundary)
 
     mate = max_weight_matching_dense(n, maxweight, neighbors, weight2)
     labels = list(range(k)) + ([boundary_label] if with_boundary else [])

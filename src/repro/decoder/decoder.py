@@ -14,13 +14,16 @@ Decoding is batch-aware and layered (fastest layer first):
    repeated syndromes across batches (and across `decode_shot` calls), so
    duplicates within a sweep job are free;
 4. *matching engine* — only distinct, uncached syndromes reach the engine
-   (native blossom / greedy / union-find; see
+   (cluster-split exact matching / greedy / union-find; see
    :mod:`repro.decoder.matching`).
 
-Every layer is exact: corrections are bit-identical to matching each shot
-individually with the seed implementation
-(:mod:`repro.decoder.reference`), which `tests/test_decoder_fastpath.py`
-enforces property-style.
+Layers 1-3 are exact: corrections are bit-identical to matching each shot
+individually with the same engine.  The engines themselves are compared
+with the seed implementation (:mod:`repro.decoder.reference`) by
+`tests/test_decoder_fastpath.py`: greedy bit-identically, exact matching by
+matching weight (it is minimum-weight, but on exact ties it may pick another
+matching than the seed's networkx tie-break; see
+:data:`repro.decoder.matching.MATCHING_REVISION`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from repro.codes.layout import StabilizerType
 from repro.codes.base import StabilizerCode
 from repro.decoder.graph import DecodingGraph, shared_decoding_graph
-from repro.decoder.matching import build_matcher
+from repro.decoder.matching import MATCHING_REVISION, build_matcher
 
 #: Default bound on the per-decoder syndrome->correction LRU cache.  Keys are
 #: packed detector bitmaps (~num_nodes/8 bytes each: 77 bytes at d=5, 50
@@ -53,7 +56,9 @@ class DecoderStats:
     start ``frame_table_builds`` (and ``apsp_builds``) stay ``0`` — the
     assertion the cross-process reuse tests and the CI smoke job grep for.
     ``lru_prewarmed`` counts the syndrome->correction entries restored into
-    the LRU at construction.
+    the LRU at construction.  ``clusters`` and ``cluster_blossoms`` sum the
+    exact matcher's work: the clusters the matched syndromes split into, and
+    how many of those (three or more detectors) went to blossom.
     """
 
     shots: int = 0
@@ -66,6 +71,8 @@ class DecoderStats:
     apsp_builds: int = 0
     frame_table_builds: int = 0
     lru_prewarmed: int = 0
+    clusters: int = 0
+    cluster_blossoms: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -79,6 +86,8 @@ class DecoderStats:
             "apsp_builds": self.apsp_builds,
             "frame_table_builds": self.frame_table_builds,
             "lru_prewarmed": self.lru_prewarmed,
+            "clusters": self.clusters,
+            "cluster_blossoms": self.cluster_blossoms,
         }
 
 
@@ -146,7 +155,7 @@ class SurfaceCodeDecoder:
                 while len(self._correction_cache) > self.cache_size:
                     self._correction_cache.popitem(last=False)
                 self.stats.lru_prewarmed = len(self._correction_cache)
-        self._sync_artifact_stats()
+        self._sync_stats()
         # Static per-decoder lookups, built once instead of per decode call.
         checks = list(self.graph.checks)
         self._support_matrix = np.zeros(
@@ -245,8 +254,10 @@ class SurfaceCodeDecoder:
         Corrections differ between matching engines (greedy is approximate,
         mwpm exact, union-find its own algorithm) and — for ``auto`` — on
         the exact/greedy switchover size, so those join the identity.
-        ``cache_size`` does *not*: corrections are bit-identical for any
-        value, so differently sized caches share one persisted cache.
+        So does :data:`~repro.decoder.matching.MATCHING_REVISION`, the exact
+        matcher's tie-break revision.  ``cache_size`` does *not*:
+        corrections are bit-identical for any value, so differently sized
+        caches share one persisted cache.
         """
         method = self.method.strip().lower()
         if method in ("mwpm", "exact", "blossom"):
@@ -256,10 +267,14 @@ class SurfaceCodeDecoder:
         return {
             "method": method,
             "exact_threshold": self.exact_threshold if method == "auto" else None,
+            "matching_revision": MATCHING_REVISION,
         }
 
-    def _sync_artifact_stats(self) -> None:
-        """Mirror the (possibly shared) graph's artifact counters into stats."""
+    def _sync_stats(self) -> None:
+        """Mirror the matcher's cluster counters and the (possibly shared)
+        graph's artifact counters into stats."""
+        self.stats.clusters = self._matcher.cluster_stats["clusters"]
+        self.stats.cluster_blossoms = self._matcher.cluster_stats["cluster_blossoms"]
         graph = self.graph
         self.stats.artifact_hits = graph.artifact_hits
         self.stats.artifact_misses = graph.artifact_misses
@@ -342,7 +357,7 @@ class SurfaceCodeDecoder:
                 if len(cache) > self.cache_size:
                     cache.popitem(last=False)
         corrections[nonempty] = uniq_corrections[inverse]
-        self._sync_artifact_stats()
+        self._sync_stats()
         return corrections
 
     def predict_corrections_batch(self, detectors: np.ndarray) -> np.ndarray:

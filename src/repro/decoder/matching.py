@@ -3,10 +3,18 @@
 Three matchers are provided:
 
 * :class:`MwpmMatcher` — exact minimum-weight perfect matching, the gold
-  standard used in the paper, solved by the native blossom port
-  (:mod:`repro.decoder.blossom`), whose tie-breaks reproduce networkx's so
-  corrections stay bit-identical to the seed implementation
-  (:mod:`repro.decoder.reference`).
+  standard used in the paper.  The flipped detectors are split into
+  clusters that no minimum-weight matching needs to connect (detectors
+  ``u``, ``v`` share a cluster only through chains of pairs with
+  ``d(u,v) < d(u,B) + d(v,B)``, ``B`` the boundary), and each cluster is
+  solved alone: one detector goes to the boundary, two are paired, three or
+  more go to the native blossom port (:mod:`repro.decoder.blossom`).  A
+  pair that crosses clusters costs at least its two boundary matches, so
+  the union has the global minimum weight (Higgott & Gidney, "Sparse
+  Blossom", arXiv:2303.15933, on the locality of exact matching).
+  Corrections are minimum-weight and deterministic; on exact ties they may
+  differ from networkx's whole-syndrome tie-break, which is why
+  :data:`MATCHING_REVISION` joins the cache identity of decoded results.
 * :class:`GreedyMatcher` — a fast approximate matcher that repeatedly pairs
   the closest remaining detectors (or sends a detector to the boundary),
   with option generation and sorting fully vectorised in numpy.
@@ -28,11 +36,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from repro.decoder.blossom import (
-    min_weight_matching_complete,
-    min_weight_matching_edges,
-)
+from repro.decoder.blossom import min_weight_matching_complete
 from repro.decoder.graph import DecodingGraph
+
+#: Revision of the exact matcher's choice among equal-weight matchings.
+#: It joins the cache identity of decoded jobs and of the persisted LRU, so
+#: corrections stored under another tie-break miss instead of replaying.
+#: Revision 2: cluster-split matching (see the module docstring).
+MATCHING_REVISION = 2
+
 
 @dataclass
 class _ShortestPaths:
@@ -59,7 +71,7 @@ class _ShortestPaths:
 
     def pair_distances(self) -> np.ndarray:
         """``(k, k)`` distance matrix between the flipped detectors."""
-        return self.distances[np.ix_(self.rows, self.sources)]
+        return self.distances[self.rows[:, None], self.sources]
 
     def boundary_distances(self) -> np.ndarray:
         """Length-``k`` distances from each detector to the boundary."""
@@ -233,14 +245,42 @@ def _shortest_paths(graph: DecodingGraph, nodes: np.ndarray) -> _ShortestPaths:
     )
 
 
+def _cluster_labels(pair_dist: np.ndarray, boundary_dist: np.ndarray) -> np.ndarray:
+    """Each detector's cluster, named by its lowest member position.
+
+    Detectors ``u`` and ``v`` are adjacent when pairing them is strictly
+    cheaper than sending both to the boundary, ``d(u,v) < d(u,B) + d(v,B)``;
+    clusters are the connected components.  The reachability matrix is
+    squared until it stops growing (at most ``log2(k)`` small float32
+    products, which numpy hands to BLAS), and each row's first reachable
+    position labels its component.
+    """
+    reach = (pair_dist < boundary_dist[:, None] + boundary_dist[None, :]).astype(
+        np.float32
+    )
+    np.fill_diagonal(reach, 1.0)
+    count = np.count_nonzero(reach)
+    while True:
+        reach = np.minimum(reach @ reach, 1.0)
+        grown = np.count_nonzero(reach)
+        if grown == count:
+            return reach.argmax(axis=1)
+        count = grown
+
+
 class _BaseMatcher:
     """Shared decode logic: compute paths, delegate pairing, accumulate frames."""
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         #: Dispatch counters (how many decodes each engine stage served);
-        #: read by ``benchmarks/bench_decoder_fastpath.py``.
+        #: read by ``benchmarks/bench_decoder_fastpath.py``.  One count per
+        #: syndrome, so the values sum to the syndromes matched.
         self.stats: Dict[str, int] = {}
+        #: Exact-matching work summed over syndromes: the clusters solved
+        #: and those among them that needed blossom.  Mirrored into
+        #: ``DecoderStats``.
+        self.cluster_stats: Dict[str, int] = {"clusters": 0, "cluster_blossoms": 0}
 
     def _count(self, key: str) -> None:
         self.stats[key] = self.stats.get(key, 0) + 1
@@ -271,84 +311,68 @@ class _BaseMatcher:
 
 
 class MwpmMatcher(_BaseMatcher):
-    """Exact minimum-weight perfect matching.
+    """Exact minimum-weight perfect matching, solved cluster by cluster.
 
     Shortest-path distances are computed on the full decoding graph, boundary
     node included, so the distance between two detectors already accounts for
     the cheapest route *through* the boundary; a matched pair whose shortest
     path crosses the boundary is physically two boundary terminations, and
     :meth:`_ShortestPaths.path_frame` accumulates its observable frame
-    correctly either way.  A minimum-weight perfect matching on the ``k``
-    detectors alone (plus one virtual boundary node when ``k`` is odd) is
-    therefore exactly equivalent to the classic construction that mirrors
-    every detector with a zero-weight boundary copy, while handing the
-    matcher half the nodes and a quarter of the edges.
+    correctly either way.  A minimum-weight perfect matching on a cluster's
+    ``m`` detectors (plus one virtual boundary node when ``m`` is odd) is
+    therefore exactly the classic construction that mirrors every detector
+    with a zero-weight boundary copy.  Splitting into clusters first (see
+    the module docstring) hands blossom only the clusters of three or more.
+
+    ``stats`` counts ``blossom`` once per syndrome; ``cluster_stats`` adds
+    the clusters solved and the ``cluster_blossoms`` among them.
     """
 
-    #: Virtual node pairing the odd detector with the boundary.  An integer
-    #: label keeps the matching independent of ``PYTHONHASHSEED`` (detector
-    #: positions are the non-negative integers).
+    #: Virtual node pairing a cluster's odd detector with the boundary.  An
+    #: integer label keeps the matching independent of ``PYTHONHASHSEED``
+    #: (detector positions are the non-negative integers).
     _BOUNDARY = -1
-
-    def _blossom_edges_sparse(
-        self, paths: _ShortestPaths, pair_dist: np.ndarray
-    ) -> List[Tuple[int, int, float]]:
-        """Blossom edge list for syndromes with an unreachable detector pair."""
-        k = paths.sources.size
-        odd = k % 2 == 1
-        boundary_dist = paths.boundary_distances() if odd else None
-        # Rare non-finite pair distances: simulate networkx's insertion
-        # bookkeeping literally (node order = first appearance among the
-        # *added* edges, which no longer follows the dense pattern).
-        adjacency: Dict[int, List[Tuple[int, float]]] = {}
-
-        def add(u: int, v: int, w: float) -> None:
-            adjacency.setdefault(u, []).append((v, w))
-            adjacency.setdefault(v, []).append((u, w))
-
-        i_idx, j_idx = np.triu_indices(k, 1)
-        weights = pair_dist[i_idx, j_idx]
-        finite = np.isfinite(weights)
-        for i, j, w in zip(
-            i_idx[finite].tolist(), j_idx[finite].tolist(), weights[finite].tolist()
-        ):
-            add(i, j, w)
-        if odd:
-            for i in range(k):
-                add(self._BOUNDARY, i, float(boundary_dist[i]))
-        edges = []
-        seen = set()
-        for u in adjacency:
-            for v, w in adjacency[u]:
-                if (v, u) in seen or (u, v) in seen:
-                    continue
-                seen.add((u, v))
-                edges.append((u, v, w))
-        return edges
 
     def _match(self, paths: _ShortestPaths) -> Tuple[List[Tuple[int, int]], List[int]]:
         self._count("blossom")
+        k = paths.sources.size
+        boundary_dist = paths.boundary_distances()
+        work = self.cluster_stats
+        if k == 1:
+            work["clusters"] += 1
+            return [], [0]
+        if k == 2:
+            # One cluster if pairing beats two boundary matches, else two.
+            if paths.distances[paths.rows[0], paths.sources[1]] < boundary_dist.sum():
+                work["clusters"] += 1
+                return [(0, 1)], []
+            work["clusters"] += 2
+            return [], [0, 1]
         pair_dist = paths.pair_distances()
-        if np.isfinite(pair_dist).all():
-            boundary_dist = (
-                paths.boundary_distances() if paths.sources.size % 2 == 1 else None
-            )
+        labels = _cluster_labels(pair_dist, boundary_dist)
+        sizes = np.bincount(labels, minlength=k)
+        member_size = sizes[labels]
+        to_boundary = np.flatnonzero(member_size == 1).tolist()
+        twos = np.flatnonzero(member_size == 2)
+        partners = twos[labels[twos] != twos]
+        pairs = list(zip(labels[partners].tolist(), partners.tolist()))
+        roots = np.flatnonzero(sizes >= 3)
+        work["clusters"] += int(np.count_nonzero(sizes))
+        work["cluster_blossoms"] += roots.size
+        for root in roots.tolist():
+            members = np.flatnonzero(labels == root)
             matching = min_weight_matching_complete(
-                pair_dist, boundary_dist, boundary_label=self._BOUNDARY
+                pair_dist[members[:, None], members],
+                boundary_dist[members] if members.size % 2 == 1 else None,
+                boundary_label=self._BOUNDARY,
             )
-        else:
-            matching = min_weight_matching_edges(
-                self._blossom_edges_sparse(paths, pair_dist)
-            )
-        pairs: List[Tuple[int, int]] = []
-        to_boundary: List[int] = []
-        for u, v in matching:
-            if u == self._BOUNDARY:
-                to_boundary.append(v)
-            elif v == self._BOUNDARY:
-                to_boundary.append(u)
-            else:
-                pairs.append((u, v))
+            for u, v in matching:
+                if u == self._BOUNDARY:
+                    to_boundary.append(int(members[v]))
+                elif v == self._BOUNDARY:
+                    to_boundary.append(int(members[u]))
+                else:
+                    pairs.append((int(members[u]), int(members[v])))
         return pairs, to_boundary
 
 
@@ -425,9 +449,9 @@ class AutoMatcher(_BaseMatcher):
         self.exact_threshold = exact_threshold
         self._exact = MwpmMatcher(graph)
         self._greedy = GreedyMatcher(graph)
-        # Sub-matchers increment one shared counter dict.
-        self._exact.stats = self.stats
-        self._greedy.stats = self.stats
+        # Sub-matchers increment shared counter dicts.
+        self._exact.stats = self._greedy.stats = self.stats
+        self._exact.cluster_stats = self.cluster_stats
 
     def decode_nodes(self, nodes: np.ndarray) -> int:
         nodes = np.asarray(nodes, dtype=np.int64)

@@ -1,13 +1,13 @@
 """Frozen seed implementation of the syndrome->correction pipeline.
 
-The decoder fast path (frame-parity tables, syndrome dedup, native blossom
-matching — see :mod:`repro.decoder.matching` and
-:mod:`repro.decoder.decoder`) is required to produce corrections that are
-bit-identical to the implementation this repository started from.  This
-module preserves that original pipeline verbatim so that
+The decoder fast path (frame-parity tables, syndrome dedup, cluster-split
+exact matching — see :mod:`repro.decoder.matching` and
+:mod:`repro.decoder.decoder`) must match the implementation this repository
+started from: greedy corrections bit for bit, exact matchings by weight.
+This module preserves that original pipeline verbatim so that
 
-* the exact-equivalence property tests (``tests/test_decoder_fastpath.py``)
-  can compare the fast path against the genuine seed behaviour instead of a
+* the equivalence property tests (``tests/test_decoder_fastpath.py``) can
+  compare the fast path against the genuine seed behaviour instead of a
   re-derivation of it, and
 * ``benchmarks/bench_decoder_fastpath.py`` can measure the fast path's
   speedup against the true pre-optimisation baseline.

@@ -64,6 +64,9 @@ class UnionFindMatcher:
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
+        #: Counters of the matching engines' interface; none apply here.
+        self.stats: Dict[str, int] = {}
+        self.cluster_stats: Dict[str, int] = {"clusters": 0, "cluster_blossoms": 0}
         self._num_nodes = graph.num_nodes + 1  # + boundary
         # The graph exposes flat endpoint/weight/frame arrays in construction
         # order, so edge setup is a single zip instead of one sparse-matrix

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -33,30 +33,19 @@ from repro.experiments.results import MemoryExperimentResult
 from repro.experiments.store import ResultStore, default_cache_dir
 
 
-def _execute_chunk(
-    job: SweepJob, index: int, decoder_artifact_dir: Optional[str]
-) -> MemoryExperimentResult:
-    """Worker entry point (module-level so it pickles under every backend)."""
-    return job.run_chunk(index, decoder_artifact_dir)
-
-
 def execute_chunk_with_stats(
     job: SweepJob, index: int, decoder_artifact_dir: Optional[str] = None
-) -> Tuple[MemoryExperimentResult, Optional[Dict[str, int]]]:
-    """Worker entry point that also surfaces the decoder's dispatch counters.
+) -> Tuple[MemoryExperimentResult, Dict[str, int]]:
+    """Worker entry point: run one chunk, return it with its decoder counters.
 
-    The sweep service uses this variant so its telemetry layer can merge
-    every worker's :class:`~repro.decoder.decoder.DecoderStats` (cache/LRU
-    hits, artifact loads, APSP rebuilds) into the shared
-    :class:`~repro.experiments.metrics.MetricsRegistry`.
+    Both backends sum every chunk's :class:`~repro.decoder.decoder.
+    DecoderStats` (cache/LRU hits, artifact loads, APSP rebuilds, clusters)
+    into :attr:`SweepStats.decoder`; the sweep service also merges them into
+    the shared :class:`~repro.experiments.metrics.MetricsRegistry`.  The
+    counters are empty for undecoded jobs.
     """
-    shots = job.chunk_sizes()[index]
-    rng = np.random.default_rng(job.chunk_seed(index))
-    experiment = job.build_experiment(rng, decoder_artifact_dir)
-    result = experiment.run(shots)
-    decoder_stats = (
-        experiment.decoder.stats.as_dict() if experiment.decoder is not None else None
-    )
+    decoder_stats: Dict[str, int] = {}
+    result = job.run_chunk(index, decoder_artifact_dir, decoder_stats)
     return result, decoder_stats
 
 
@@ -103,6 +92,9 @@ class SweepStats:
     shots_saved: int = 0
     #: Jobs the stopping rule finalised before their full shot budget ran.
     jobs_stopped_early: int = 0
+    #: :class:`~repro.decoder.decoder.DecoderStats` counters summed over
+    #: every chunk executed (cached and recovered chunks decode nothing).
+    decoder: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "SweepStats") -> "SweepStats":
         """Accumulate another run's statistics into this one (returns self)."""
@@ -114,11 +106,17 @@ class SweepStats:
         self.chunks_recovered += other.chunks_recovered
         self.shots_saved += other.shots_saved
         self.jobs_stopped_early += other.jobs_stopped_early
+        self.add_decoder_counts(other.decoder)
         if other.artifacts_prebuilt is not None:
             self.artifacts_prebuilt = (
                 self.artifacts_prebuilt or 0
             ) + other.artifacts_prebuilt
         return self
+
+    def add_decoder_counts(self, counts: Optional[Dict[str, int]]) -> None:
+        """Sum one chunk's (or another run's) decoder counters into ``decoder``."""
+        for key, value in (counts or {}).items():
+            self.decoder[key] = self.decoder.get(key, 0) + int(value)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (used by the report's ``run_stats.json``)."""
@@ -132,6 +130,7 @@ class SweepStats:
             "chunks_recovered": self.chunks_recovered,
             "shots_saved": self.shots_saved,
             "jobs_stopped_early": self.jobs_stopped_early,
+            "decoder": dict(self.decoder),
         }
 
     @classmethod
@@ -148,6 +147,7 @@ class SweepStats:
             chunks_recovered=int(payload.get("chunks_recovered", 0)),
             shots_saved=int(payload.get("shots_saved", 0)),
             jobs_stopped_early=int(payload.get("jobs_stopped_early", 0)),
+            decoder={key: int(value) for key, value in payload.get("decoder", {}).items()},
         )
 
     def summary(self) -> str:
@@ -442,6 +442,7 @@ class PlanExecution:
         job_index: int,
         chunk: int,
         result: MemoryExperimentResult,
+        decoder_stats: Optional[Dict[str, int]] = None,
         recovered: bool = False,
     ) -> bool:
         """Account one executed chunk; returns True when its job completed.
@@ -466,7 +467,11 @@ class PlanExecution:
         in-flight straggler past the stop point) is counted as executed
         but otherwise discarded — the stopping rule's result depends only
         on the prefix.
+
+        ``decoder_stats`` are the chunk's decoder counters (see
+        :func:`execute_chunk_with_stats`), summed into ``stats.decoder``.
         """
+        self.stats.add_decoder_counts(decoder_stats)
         if self.results[job_index] is not None or job_index not in self._remaining:
             # Job already finalised (adaptive early stop); straggler chunk.
             # Its slot was counted as skipped at finalise time — move it to
@@ -690,7 +695,9 @@ class SweepExecutor:
         # the fan-out below (including every pool worker) loads them back as
         # shared memory maps instead of recomputing per process.
         execution.prebuild_artifacts(self.decoder_artifact_dir)
-        execute = partial(_execute_chunk, decoder_artifact_dir=self.decoder_artifact_dir)
+        execute = partial(
+            execute_chunk_with_stats, decoder_artifact_dir=self.decoder_artifact_dir
+        )
 
         if execution.adaptive_mode:
             self._run_adaptive(plan, execution, execute)
@@ -705,13 +712,13 @@ class SweepExecutor:
                     }
                     for future in as_completed(futures):
                         job_index, chunk = futures[future]
-                        execution.record_chunk(job_index, chunk, future.result())
+                        execution.record_chunk(job_index, chunk, *future.result())
             else:
                 # tasks are job-major, so each job completes (and is saved)
                 # before the next one starts.
                 for job_index, chunk in tasks:
                     execution.record_chunk(
-                        job_index, chunk, execute(plan.jobs[job_index], chunk)
+                        job_index, chunk, *execute(plan.jobs[job_index], chunk)
                     )
 
         self.last_stats = execution.finish(time.perf_counter() - started)
@@ -721,7 +728,7 @@ class SweepExecutor:
         self,
         plan: SweepPlan,
         execution: PlanExecution,
-        execute: Callable[[SweepJob, int], MemoryExperimentResult],
+        execute: Callable[[SweepJob, int], Tuple[MemoryExperimentResult, Dict[str, int]]],
     ) -> None:
         """Drive an adaptive execution through its chunk frontier.
 
@@ -748,7 +755,7 @@ class SweepExecutor:
                     done, _ = wait(futures, return_when=FIRST_COMPLETED)
                     for future in done:
                         job_index, chunk = futures.pop(future)
-                        execution.record_chunk(job_index, chunk, future.result())
+                        execution.record_chunk(job_index, chunk, *future.result())
                     refill()
         else:
             while True:
@@ -757,5 +764,5 @@ class SweepExecutor:
                     break
                 job_index, chunk = claimed[0]
                 execution.record_chunk(
-                    job_index, chunk, execute(plan.jobs[job_index], chunk)
+                    job_index, chunk, *execute(plan.jobs[job_index], chunk)
                 )

@@ -36,6 +36,7 @@ from repro.codes import DEFAULT_CODE_FAMILY, canonical_code_family, make_code
 from repro.core.policies import make_policy
 from repro.core.policies.base import LrcPolicy
 from repro.core.qsg import PROTOCOL_SWAP
+from repro.decoder.matching import MATCHING_REVISION
 from repro.experiments.adaptive import DEFAULT_MIN_CHUNKS, AdaptiveConfig
 from repro.experiments.memory import MemoryExperiment
 from repro.experiments.results import MemoryExperimentResult
@@ -152,6 +153,10 @@ class SweepJob:
         ``code_family`` and ``noise_profile`` join the identity only when
         they deviate from the degenerate defaults (rotated surface code,
         uniform noise), so every pre-existing cache entry keeps its address.
+        Decoded jobs also carry the exact matcher's tie-break revision
+        (:data:`~repro.decoder.matching.MATCHING_REVISION`), a constant
+        rather than a setting: results decoded under another tie-break miss,
+        while undecoded (LPR, speculation) jobs keep their keys.
         """
         config: Dict[str, object] = {}
         if self.code_family != DEFAULT_CODE_FAMILY:
@@ -176,6 +181,8 @@ class SweepJob:
             "spawn_key": list(self.spawn_key),
             "chunk_shots": self.chunk_shots,
         })
+        if self.decode:
+            config["matching_revision"] = MATCHING_REVISION
         return config
 
     def cache_key(self) -> str:
@@ -298,12 +305,23 @@ class SweepJob:
         )
 
     def run_chunk(
-        self, index: int, decoder_artifact_dir: Optional[str] = None
+        self,
+        index: int,
+        decoder_artifact_dir: Optional[str] = None,
+        decoder_stats: Optional[Dict[str, int]] = None,
     ) -> MemoryExperimentResult:
-        """Run one chunk of this job on its own deterministic stream."""
+        """Run one chunk of this job on its own deterministic stream.
+
+        ``decoder_stats``, when given, receives the chunk decoder's
+        :class:`~repro.decoder.decoder.DecoderStats` counters.
+        """
         shots = self.chunk_sizes()[index]
         rng = np.random.default_rng(self.chunk_seed(index))
-        return self.build_experiment(rng, decoder_artifact_dir).run(shots)
+        experiment = self.build_experiment(rng, decoder_artifact_dir)
+        result = experiment.run(shots)
+        if decoder_stats is not None and experiment.decoder is not None:
+            decoder_stats.update(experiment.decoder.stats.as_dict())
+        return result
 
     def run(self) -> MemoryExperimentResult:
         """Run every chunk in-process and merge (the serial reference path)."""

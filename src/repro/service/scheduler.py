@@ -649,7 +649,7 @@ class SweepScheduler:
             return
         async with submission.record_lock:
             await asyncio.to_thread(
-                submission.execution.record_chunk, job_index, chunk, result
+                submission.execution.record_chunk, job_index, chunk, result, decoder_stats
             )
             if submission.execution.adaptive_mode and submission.state == STATE_RUNNING:
                 # Refill the frontier: one freshly-claimed chunk per recorded

@@ -9,6 +9,7 @@ it may only change together with a declared identity bump.
 import dataclasses
 import hashlib
 
+from repro.decoder import MATCHING_REVISION
 from repro.experiments.jobs import SweepJob
 from repro.experiments.registry import EXPERIMENTS
 from repro.noise.profiles import NoiseProfile
@@ -18,7 +19,7 @@ SETTINGS = ((200, 5), (40, 3))
 
 #: SHA-256 over the concatenated keys, in registry order and, per entry, in
 #: :data:`SETTINGS` order.
-REGISTRY_DIGEST = "8c304f8abc80cc339debb2bf974a59cafcfd2a21d80b5737a24a71340a80944b"
+REGISTRY_DIGEST = "2d0cb1b87edc417a5683e7a189222a7eb4cbcc1ca1d424915af84438602debc9"
 REGISTRY_KEYS = 182
 
 
@@ -54,3 +55,30 @@ def test_every_job_field_is_part_of_the_identity():
     config = job.config_dict()
     missing = [f.name for f in dataclasses.fields(SweepJob) if f.name not in config]
     assert missing == []
+
+
+#: Cache key of :func:`undecoded_job` before the matching revision joined
+#: the identity of decoded jobs.
+UNDECODED_KEY = "f38caca413b38f6a0e57e43557aeb0dba404649a271e9103ad2d24439f48cb90"
+
+
+def undecoded_job(**fields):
+    config = dict(
+        distance=5, policy="eraser", shots=200, rounds=10, decode=False,
+        seed_entropy=1234, spawn_key=(3,),
+    )
+    config.update(fields)
+    return SweepJob(**config)
+
+
+def test_undecoded_job_keeps_its_key():
+    # LPR and speculation jobs never match a syndrome, so the matcher's
+    # tie-break revision must not move (and orphan) their cached results.
+    job = undecoded_job()
+    assert "matching_revision" not in job.config_dict()
+    assert job.cache_key() == UNDECODED_KEY
+
+
+def test_decoded_job_carries_the_matching_revision():
+    config = undecoded_job(decode=True).config_dict()
+    assert config["matching_revision"] == MATCHING_REVISION

@@ -284,6 +284,23 @@ class TestLruPersistence:
         )
         assert greedy.stats.lru_prewarmed == 0
 
+    def test_prewarm_skips_an_older_matching_revision(self, tmp_path):
+        code = RotatedSurfaceCode(3)
+        store = get_artifact_store(tmp_path)
+        rng = np.random.default_rng(8)
+        histories, finals = _random_shots(code, rng, 30, 4)
+
+        first = SurfaceCodeDecoder(code, num_rounds=4, artifact_store=store)
+        first.decode_batch(histories, finals)
+        # The LRU identity as it was before the tie-break revision joined it.
+        legacy = dict(first._lru_identity())
+        del legacy["matching_revision"]
+        store.save_lru(first.graph, legacy, first._correction_cache, bound=64)
+        clear_shared_graphs()
+
+        second = SurfaceCodeDecoder(code, num_rounds=4, artifact_store=store)
+        assert second.stats.lru_prewarmed == 0
+
     def test_merge_respects_bound(self, tmp_path):
         code = RotatedSurfaceCode(3)
         store = get_artifact_store(tmp_path)

@@ -30,7 +30,7 @@ GOLDEN = {
     ("scalar", "eraser"): (2, 0.0009803922, 0.0013888889, 0.0005208333, 0.1625),
     ("scalar", "always-lrc"): (6, 0.0007352941, 0.0004629630, 0.0010416667, 4.3333333333),
     ("packed", "eraser"): (1, 0.0006127451, 0.0011574074, 0.0000000000, 0.1479166667),
-    ("packed", "always-lrc"): (7, 0.0013480392, 0.0011574074, 0.0015625000, 4.3333333333),
+    ("packed", "always-lrc"): (6, 0.0013480392, 0.0011574074, 0.0015625000, 4.3333333333),
 }
 
 
@@ -80,7 +80,7 @@ GOLDEN_SCENARIOS = {
     ("packed", "heterogeneous"): (1, 0.0022058824, 0.0034722222, 0.0007812500, 0.2020833333),
     ("packed", "repetition"): (0, 0.0020833333, 0.0034722222, 0.0000000000, 0.0416666667),
     ("scalar", "biased"): (2, 0.0009803922, 0.0016203704, 0.0002604167, 0.1666666667),
-    ("scalar", "heterogeneous"): (3, 0.0014705882, 0.0020833333, 0.0007812500, 0.2520833333),
+    ("scalar", "heterogeneous"): (4, 0.0014705882, 0.0020833333, 0.0007812500, 0.2520833333),
     ("scalar", "repetition"): (0, 0.0016666667, 0.0027777778, 0.0000000000, 0.0187500000),
 }
 

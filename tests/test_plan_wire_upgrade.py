@@ -72,9 +72,9 @@ LEGACY_PAYLOAD = {
 }
 
 #: What :data:`LEGACY_PAYLOAD` computes, replayed on the packed engine: the
-#: decode job stops after two 50-shot chunks with 26 logical errors.
+#: decode job stops after two 50-shot chunks with 27 logical errors.
 LEGACY_STOP_SHOTS = 100
-LEGACY_STOP_ERRORS = 26
+LEGACY_STOP_ERRORS = 27
 
 #: Engine names the older code wrote; both replay on the packed engine.
 LEGACY_ENGINES = ("auto", "batched")

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments.executor import SweepExecutor, SweepStats
+from repro.experiments.executor import SweepExecutor, SweepStats, execute_chunk_with_stats
 from repro.experiments.jobs import SweepJob, SweepPlan
 from repro.experiments.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -90,6 +90,15 @@ class TestRegistry:
         snapshot = registry.snapshot()
         assert snapshot["counters"]["decoder_hits"] == 5
         assert snapshot["counters"]["decoder_misses"] == 1
+
+    def test_worker_decoder_counters_include_clusters(self):
+        # What a service worker returns for the registry's decoder_* counters.
+        _, stats = execute_chunk_with_stats(make_plan().jobs[0], 0)
+        registry = MetricsRegistry()
+        registry.merge_counts(stats, prefix="decoder_")
+        counters = registry.snapshot()["counters"]
+        assert counters["decoder_clusters"] >= counters["decoder_cluster_blossoms"]
+        assert counters["decoder_clusters"] > 0
 
     def test_snapshot_round_trip_byte_stable(self):
         registry = MetricsRegistry()
@@ -196,6 +205,36 @@ class TestSweepStatsWire:
             artifacts_prebuilt=2,
         )
         assert SweepStats.from_dict(stats.to_dict()) == stats
+
+    def test_decoder_counts_round_trip_and_merge(self):
+        stats = SweepStats(jobs_total=1, decoder={"shots": 40, "clusters": 7})
+        assert SweepStats.from_dict(stats.to_dict()) == stats
+        stats.merge(SweepStats(decoder={"shots": 10, "matched": 3}))
+        assert stats.decoder == {"shots": 50, "clusters": 7, "matched": 3}
+
+    def test_executors_sum_decoder_counts_per_executed_chunk(self, tmp_path):
+        plan = make_plan()
+        serial = SweepExecutor(cache_dir=str(tmp_path / "a"))
+        serial.run(plan)
+        decoder = serial.last_stats.decoder
+        assert decoder["shots"] == sum(job.shots for job in plan.jobs)
+        assert decoder["shots"] == (
+            decoder["empty"] + decoder["dedup_hits"] + decoder["cache_hits"]
+            + decoder["matched"]
+        )
+        assert decoder["clusters"] > 0
+        pooled = SweepExecutor(jobs=2, cache_dir=str(tmp_path / "b"))
+        pooled.run(plan)
+        # The artifact counters mirror each process's shared graph; the
+        # per-decoder counters must agree exactly across backends.
+        per_decoder = ("shots", "empty", "dedup_hits", "cache_hits", "matched",
+                       "clusters", "cluster_blossoms")
+        assert {k: pooled.last_stats.decoder[k] for k in per_decoder} == {
+            k: decoder[k] for k in per_decoder
+        }
+        # A warm rerun decodes nothing.
+        serial.run(plan)
+        assert serial.last_stats.decoder == {}
 
     def test_from_dict_tolerates_missing_optional(self):
         stats = SweepStats.from_dict({"jobs_total": 1})
